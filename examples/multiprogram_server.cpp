@@ -39,7 +39,7 @@ main(int argc, char **argv)
             if (w->init)
                 w->init(sys.mem());
 
-        Scheduler sched(&sys.core(0), quantum);
+        Scheduler sched({&sys.core(0)}, SchedParams{quantum});
         sched.addTask(&w1.threadPrograms[0], 1);
         sched.addTask(&w2.threadPrograms[0], 2);
         sched.addTask(&w3.threadPrograms[0], 3);

@@ -24,14 +24,15 @@ main(int argc, char **argv)
 
     const Workload w = buildSpecWorkload(bench);
 
-    RunOptions opt;
-    const RunResult base = runScheme(w, Scheme::Baseline, opt);
+    const RunResult base =
+        run({SystemConfig::forScheme(Scheme::Baseline), w, {}, "Baseline"})
+            .result;
     std::printf("  %-20s %10llu cycles  (IPC %.2f)\n", "Baseline",
                 static_cast<unsigned long long>(base.cycles), base.ipc);
 
     // Keep the MuonTrap system alive so we can inspect its stats.
-    RunOutput mt = runConfigured(
-        w, SystemConfig::forScheme(Scheme::MuonTrap, 1), opt, "MuonTrap");
+    const RunOutput mt =
+        run({SystemConfig::forScheme(Scheme::MuonTrap), w, {}, "MuonTrap"});
     std::printf("  %-20s %10llu cycles  (IPC %.2f)\n", "MuonTrap",
                 static_cast<unsigned long long>(mt.result.cycles),
                 mt.result.ipc);

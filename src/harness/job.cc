@@ -64,33 +64,13 @@ runJob(const JobSpec &spec)
         return custom;
     }
 
-    if (job.scheduled) {
-        if (job.mix.empty())
-            throw std::runtime_error("scheduled job "
-                                     + std::to_string(job.index)
-                                     + " has an empty mix");
-        std::vector<Workload> mix;
-        mix.reserve(job.mix.size());
-        for (const auto &factory : job.mix)
-            mix.push_back(factory());
-        RunOutput out = runMixConfigured(mix, job.cfg, job.sched,
-                                         job.opt, job.configName);
-        r.run = out.result;
-        if (job.collect)
-            job.collect(*out.system, r);
-        writeJobTrace(job, out);
-        r.instructions = out.result.instructionsPerCore
-                         * out.system->numCores();
-        r.wallSeconds = secondsSince(t0);
-        return r;
-    }
-
-    if (!job.workload)
+    if (!job.source)
         throw std::runtime_error("job " + std::to_string(job.index)
-                                 + " has neither workload nor custom fn");
+                                 + " has neither a source nor custom fn");
 
-    const Workload w = job.workload();
-    RunOutput out = runConfigured(w, job.cfg, job.opt, job.configName);
+    const RunSpec run_spec{job.cfg, job.source(), job.opt,
+                           job.configName};
+    RunOutput out = run(run_spec);
     r.run = out.result;
     if (job.collect)
         job.collect(*out.system, r);

@@ -42,21 +42,13 @@ struct JobSpec
     /** "baseline" rows anchor normalisation; everything else is "run". */
     std::string kind = "run";
 
-    /** Builds the workload inside the worker (deterministic). */
-    std::function<Workload()> workload;
+    /** Builds the run's workload source inside the worker
+     *  (deterministic): one workload, or a mix that time-shares
+     *  cfg.cores cores under the gang scheduler. */
+    std::function<RunSource()> source;
     SystemConfig cfg;
     std::string configName = "custom";
     RunOptions opt;
-
-    /**
-     * Multiprogrammed job: when `scheduled` is set, every factory in
-     * `mix` is built inside the worker and the whole mix time-shares
-     * cfg.cores cores under the gang scheduler (`sched`), via
-     * runMixConfigured. `workload` is ignored in that case.
-     */
-    bool scheduled = false;
-    std::vector<std::function<Workload()>> mix;
-    SchedParams sched;
 
     /** Post-run stats probe (e.g. figure 7's bus counters). */
     std::function<void(System &, JobResult &)> collect;

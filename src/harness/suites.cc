@@ -444,7 +444,7 @@ serverArrivals(const ServerLoadLevel &level, const RunOptions &opt,
 
 /**
  * The open-system "server farm" sweep: a load ladder (rows) against a
- * defence-scheme set (columns), each cell one runServerConfigured run
+ * defence-scheme set (columns), each cell one server-source run()
  * on a 4-core machine. The table reports p95 sojourn time normalised
  * to the scheduled Baseline of the same row — the defence's QoS
  * overhead under that load — and the CSV carries the full percentile /
@@ -472,17 +472,13 @@ serverSuite(const RunOptions &opt, std::uint64_t seed)
                 SchedParams sp;
                 sp.quantum = 20'000;
                 sp.affinity = true;
-                const SystemConfig cfg =
-                    SystemConfig::forScheme(scheme, 4);
-                ServerRunOutput out = runServerConfigured(
-                    cfg, sp, ap, ro, schemeName(scheme));
+                const RunOutput out =
+                    run({SystemConfig::forScheme(scheme, 4),
+                         ServerSource{ap, sp}, ro, schemeName(scheme)});
                 const ServerReport &rep = out.report;
 
                 JobResult r;
-                r.run.workload = "server";
-                r.run.configName = schemeName(scheme);
-                r.run.cycles = rep.makespan ? rep.makespan : 1;
-                r.run.ipc = rep.ipc;
+                r.run = out.result;
                 r.instructions = rep.committed;
                 r.metrics["admitted"] =
                     static_cast<double>(rep.admitted);

@@ -150,28 +150,25 @@ SweepBuilder::build() const
         j.col = col;
         j.kind = kind;
         const std::uint64_t wl_seed = seed_; // same workload across cols
+        j.cfg = cfg;
+        const std::vector<std::string> names = row.names;
         if (scheduled_) {
-            j.scheduled = true;
-            j.sched = sched_;
-            j.cfg = cfg;
             j.cfg.cores = std::max(j.cfg.cores, schedCores_);
             // Distinct asids: mix members are separate processes.
-            for (std::size_t m = 0; m < row.names.size(); ++m) {
-                const std::string name = row.names[m];
-                const Asid asid = static_cast<Asid>(m + 1);
-                j.mix.push_back([name, wl_seed, asid] {
-                    return buildNamedWorkload(name, wl_seed, asid);
-                });
-            }
+            j.source = [names, wl_seed, sched = sched_]() -> RunSource {
+                MixSource mix{{}, sched};
+                for (std::size_t m = 0; m < names.size(); ++m)
+                    mix.jobs.push_back(buildNamedWorkload(
+                        names[m], wl_seed, static_cast<Asid>(m + 1)));
+                return mix;
+            };
         } else {
-            if (row.names.size() != 1)
+            if (names.size() != 1)
                 fatal("sweep '%s': mix row '%s' needs schedule()",
                       suite_.c_str(), row.label.c_str());
-            const std::string name = row.names[0];
-            j.workload = [name, wl_seed] {
+            j.source = [name = names[0], wl_seed]() -> RunSource {
                 return buildNamedWorkload(name, wl_seed);
             };
-            j.cfg = cfg;
         }
         j.configName = config_name;
         j.opt = opt_;

@@ -10,7 +10,6 @@
 
 #include "common/log.hh"
 #include "perf/odometer.hh"
-#include "sim/arrival.hh"
 #include "sim/json_stats.hh"
 #include "sim/runner.hh"
 #include "sim/scheduler.hh"
@@ -63,8 +62,8 @@ schemeScenario(std::string name, std::string description,
     s.description = std::move(description);
     s.body = [workload = std::move(workload),
               scheme](const PerfOptions &opt) {
-        const Workload w = workload();
-        (void)runScheme(w, scheme, runOptionsFor(opt));
+        (void)run({SystemConfig::forScheme(scheme), workload(),
+                   runOptionsFor(opt), schemeName(scheme)});
     };
     return s;
 }
@@ -85,7 +84,7 @@ contextSwitchBody(const PerfOptions &opt)
     // A deliberately small quantum so the run is dominated by drains,
     // filter flushes and cold-filter restarts — the context-switch cost
     // MuonTrap's design accepts (§4.3).
-    Scheduler sched(&sys.core(0), /*quantum=*/5'000);
+    Scheduler sched({&sys.core(0)}, SchedParams{/*quantum=*/5'000});
     sched.addTask(&w1.threadPrograms[0], 1);
     sched.addTask(&w2.threadPrograms[0], 2);
     sched.addTask(&w3.threadPrograms[0], 3);
@@ -235,9 +234,8 @@ serverBody(const PerfOptions &opt, ArrivalPattern pattern)
     sp.quantum = 20'000;
     sp.affinity = true;
 
-    const ServerRunOutput out = runServerConfigured(
-        SystemConfig::forScheme(Scheme::MuonTrap, 4), sp, ap, {},
-        "MuonTrap");
+    const RunOutput out = run({SystemConfig::forScheme(Scheme::MuonTrap, 4),
+                               ServerSource{ap, sp}, {}, "MuonTrap"});
     if (out.report.completed != ap.jobs)
         throw std::runtime_error("server scenario: not every admitted "
                                  "job completed");

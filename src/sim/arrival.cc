@@ -124,6 +124,15 @@ generateArrivalSchedule(const ArrivalParams &p)
     return events;
 }
 
+unsigned
+maxArrivalThreads(const ArrivalParams &p)
+{
+    unsigned n = 1;
+    for (const std::string &name : p.profiles)
+        n = std::max(n, resolveProfile(name).threads);
+    return n;
+}
+
 ArrivalInjector::ArrivalInjector(System &sys, const ArrivalParams &p)
     : sys_(sys), params_(p), events_(generateArrivalSchedule(p))
 {
@@ -276,38 +285,6 @@ ServerReport::print(std::ostream &os) const
            << "%)\n";
 }
 
-std::uint64_t
-serverContextFingerprint(const ArrivalParams &arrivals,
-                         const SchedParams &sched, const RunOptions &opt)
-{
-    Fingerprint fp;
-    fp.mix("server");
-    fp.mix(arrivals.seed);
-    fp.mix(arrivalPatternName(arrivals.pattern));
-    fp.mix(arrivals.jobs);
-    fp.mix(arrivals.meanInterarrival);
-    fp.mix(arrivals.burstSize);
-    fp.mix(arrivals.burstSpacing);
-    fp.mix(arrivals.serviceMinCommits);
-    fp.mix(arrivals.serviceMaxCommits);
-    fp.mix(arrivals.deadlineFactor);
-    fp.mix(arrivals.maxWeight);
-    fp.mix(arrivals.sleepPeriodCommits);
-    fp.mix(arrivals.sleepDurationCycles);
-    fp.mix(arrivals.profiles.size());
-    for (const std::string &name : arrivals.profiles)
-        fp.mix(name);
-    fp.mix(arrivals.firstAsid);
-    fp.mix(sched.quantum);
-    fp.mix(sched.gang ? 1 : 0);
-    fp.mix(sched.migrate ? 1 : 0);
-    fp.mix(sched.affinity ? 1 : 0);
-    fp.mix(sched.trace ? 1 : 0);
-    fp.mix(opt.seed);
-    fp.mix(opt.trace ? 1 : 0);
-    return fp.value();
-}
-
 std::vector<std::uint8_t>
 saveServerSnapshot(const System &sys, const ArrivalInjector &inj,
                    std::uint64_t ctx_fp)
@@ -344,74 +321,6 @@ restoreServerSnapshot(System &sys, ArrivalInjector &inj,
     // scheduler state whose Program bindings already exist.
     inj.replayAdmissions(admitted);
     sys.restoreSnapshot(std::move(inner), mixSeeds(ctx_fp, admitted));
-}
-
-ServerRunOutput
-runServerConfigured(const SystemConfig &cfg, const SchedParams &sched,
-                    const ArrivalParams &arrivals, const RunOptions &opt,
-                    const std::string &config_name)
-{
-    SystemConfig c = cfg;
-    // Widen the machine to the widest gang job the mix can draw.
-    {
-        const std::vector<std::string> &mix =
-            arrivals.profiles.empty()
-                ? std::vector<std::string>{} // defaults are 1-thread
-                : arrivals.profiles;
-        for (const std::string &name : mix)
-            c.cores = std::max(c.cores, resolveProfile(name).threads);
-    }
-    c.mem.cores = c.cores;
-    applyRunSeed(c, opt.seed);
-    if (opt.referenceFetch)
-        c.core.decodedFetch = false;
-
-    ServerRunOutput out;
-    out.system = std::make_unique<System>(c);
-    System &sys = *out.system;
-    if (opt.trace)
-        sys.attachTracer(opt.traceParams);
-    sys.attachScheduler(sched);
-    out.injector = std::make_unique<ArrivalInjector>(sys, arrivals);
-    sys.scheduler()->setArrivalSource(out.injector.get());
-
-    const std::uint64_t ctx_fp =
-        serverContextFingerprint(arrivals, sched, opt);
-    if (!opt.snapshotIn.empty())
-        restoreServerSnapshot(sys, *out.injector,
-                              readSnapshotFile(opt.snapshotIn), ctx_fp);
-
-    // No warmup phase: an open system's cold start is part of the
-    // behaviour under study. The arrival schedule bounds the total work
-    // (every job carries a finite service demand), so we just drive
-    // runScheduled in chunks until the scheduler reports it is out of
-    // runnable work and arrivals.
-    const Cycle start_cycle = sys.maxCommitCycle();
-    std::unique_ptr<StatSeries> series;
-    if (opt.statsInterval)
-        series = std::make_unique<StatSeries>(sys.root(),
-                                              opt.statsInterval,
-                                              start_cycle);
-    const std::uint64_t step =
-        opt.statsInterval ? opt.statsInterval : 50'000;
-    std::uint64_t done = 0;
-    for (;;) {
-        const std::uint64_t did = sys.runScheduled(step);
-        done += did;
-        if (series && did)
-            series->sample(sys.maxCommitCycle(), done);
-        if (did < step)
-            break; // out of runnable tasks and pending arrivals
-    }
-
-    if (!opt.snapshotOut.empty())
-        writeSnapshotFile(opt.snapshotOut,
-                          saveServerSnapshot(sys, *out.injector, ctx_fp));
-
-    out.report = ServerReport::build(sys, *out.injector);
-    out.configName = config_name;
-    out.statSeries = std::move(series);
-    return out;
 }
 
 } // namespace mtrap

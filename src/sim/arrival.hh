@@ -19,12 +19,10 @@
 #define MTRAP_SIM_ARRIVAL_HH
 
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "sim/runner.hh"
 #include "sim/scheduler.hh"
 #include "sim/system.hh"
 
@@ -101,6 +99,10 @@ struct ArrivalEvent
 /** Generate the full deterministic schedule for `p` (first arrival at
  *  cycle >= 1, strictly non-decreasing). */
 std::vector<ArrivalEvent> generateArrivalSchedule(const ArrivalParams &p);
+
+/** Threads of the widest job `p`'s profile mix can draw (the default
+ *  mix is all single-threaded). */
+unsigned maxArrivalThreads(const ArrivalParams &p);
 
 /**
  * The System-coupled arrival source: owns the pre-generated schedule
@@ -181,46 +183,6 @@ struct ServerReport
 
     void print(std::ostream &os) const;
 };
-
-/** One open-system run's full output. */
-struct ServerRunOutput
-{
-    ServerReport report;
-    std::string configName;
-    std::unique_ptr<System> system;
-    /** The scheduler holds a raw pointer to this injector; it rides
-     *  along so the system can keep running (or snapshot) later. */
-    std::unique_ptr<ArrivalInjector> injector;
-    /** Interval time-series, when RunOptions::statsInterval != 0. */
-    std::unique_ptr<StatSeries> statSeries;
-};
-
-/**
- * Run one open-system experiment: build a system for `cfg` (seed-mixed
- * per opt.seed), attach scheduler + tracer + arrival source, and run
- * until every admitted job has completed. There is no warmup phase —
- * cold-start transients are part of open-system behaviour — and
- * opt.measureInstructions is ignored (the arrival schedule bounds the
- * work: every job carries a finite service demand). opt.statsInterval
- * samples the PR-6 interval series as usual; opt.snapshotIn/Out use
- * the *server* outer frame (saveServerSnapshot below), not the bare
- * System image.
- */
-ServerRunOutput runServerConfigured(const SystemConfig &cfg,
-                                    const SchedParams &sched,
-                                    const ArrivalParams &arrivals,
-                                    const RunOptions &opt = {},
-                                    const std::string &config_name =
-                                        "custom");
-
-/**
- * Context fingerprint of a server run: arrival schedule shape +
- * scheduler policy + seed. Pairs with System::configFingerprint() to
- * key server snapshots.
- */
-std::uint64_t serverContextFingerprint(const ArrivalParams &arrivals,
-                                       const SchedParams &sched,
-                                       const RunOptions &opt);
 
 /**
  * Mid-stream server snapshot: an outer kTagArrival frame carrying the

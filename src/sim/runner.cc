@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -10,8 +11,11 @@
 namespace mtrap
 {
 
-/** The RunOptions::seed re-randomisation shared by every run flavour
- *  (single, mix and the open-system server runs in sim/arrival.cc). */
+namespace
+{
+
+/** Mix RunOptions::seed into every structure seed (caches, filter
+ *  caches). No-op when seed == 0. */
 void
 applyRunSeed(SystemConfig &c, std::uint64_t seed)
 {
@@ -24,48 +28,81 @@ applyRunSeed(SystemConfig &c, std::uint64_t seed)
     c.mem.mt.instParams.seed = mixSeeds(c.mem.mt.instParams.seed, seed);
 }
 
-namespace
+/** Threads of the widest job `src` can place on the machine. */
+unsigned
+widestJob(const RunSource &src)
 {
-
-/**
- * Context fingerprint of a single-workload run: everything besides the
- * SystemConfig that shapes the warm state. Two runs sharing (config
- * fingerprint, context fingerprint) have bit-identical machines at the
- * end of warmup — which is exactly what lets them share a snapshot.
- */
-std::uint64_t
-runContextFingerprint(const Workload &w, const RunOptions &opt)
-{
-    Fingerprint fp;
-    fp.mix("single");
-    fp.mix(w.name);
-    fp.mix(w.asid);
-    fp.mix(w.threads());
-    fp.mix(opt.warmupInstructions);
-    fp.mix(opt.trace ? 1 : 0);
-    if (opt.trace)
-        fp.mix(opt.traceParams.bufferEntries);
-    return fp.value();
+    if (const auto *w = std::get_if<Workload>(&src))
+        return w->threads();
+    if (const auto *mix = std::get_if<MixSource>(&src)) {
+        unsigned n = 1;
+        for (const Workload &w : mix->jobs)
+            n = std::max(n, w.threads());
+        return n;
+    }
+    return maxArrivalThreads(std::get<ServerSource>(src).arrivals);
 }
 
-/** Context fingerprint of a scheduled mix run (admission order, asids
- *  and scheduler policy all shape the warm state). */
-std::uint64_t
-mixContextFingerprint(const std::vector<Workload> &mix,
-                      const SchedParams &sched, const RunOptions &opt)
+void
+mixSched(Fingerprint &fp, const SchedParams &sched)
 {
-    Fingerprint fp;
-    fp.mix("mix");
-    fp.mix(mix.size());
-    for (const Workload &w : mix) {
-        fp.mix(w.name);
-        fp.mix(w.asid);
-        fp.mix(w.threads());
-    }
     fp.mix(sched.quantum);
     fp.mix(sched.gang ? 1 : 0);
     fp.mix(sched.migrate ? 1 : 0);
-    fp.mix(sched.trace ? 1 : 0);
+    fp.mix(sched.affinity ? 1 : 0);
+}
+
+void
+mixWorkload(Fingerprint &fp, const Workload &w)
+{
+    fp.mix(w.name);
+    fp.mix(w.asid);
+    fp.mix(w.threads());
+}
+
+/**
+ * Context fingerprint of a run: everything besides the SystemConfig
+ * that shapes the machine at the end of its warm phase. Two runs
+ * sharing (config fingerprint, context fingerprint) have bit-identical
+ * warm machines — which is exactly what lets them share a snapshot.
+ */
+std::uint64_t
+contextFingerprint(const RunSpec &spec)
+{
+    Fingerprint fp;
+    if (const auto *w = std::get_if<Workload>(&spec.source)) {
+        fp.mix("single");
+        mixWorkload(fp, *w);
+    } else if (const auto *mix = std::get_if<MixSource>(&spec.source)) {
+        fp.mix("mix");
+        fp.mix(mix->jobs.size());
+        for (const Workload &w : mix->jobs)
+            mixWorkload(fp, w);
+        mixSched(fp, mix->sched);
+    } else {
+        const ServerSource &server = std::get<ServerSource>(spec.source);
+        const ArrivalParams &a = server.arrivals;
+        fp.mix("server");
+        fp.mix(a.seed);
+        fp.mix(arrivalPatternName(a.pattern));
+        fp.mix(a.jobs);
+        fp.mix(a.meanInterarrival);
+        fp.mix(a.burstSize);
+        fp.mix(a.burstSpacing);
+        fp.mix(a.serviceMinCommits);
+        fp.mix(a.serviceMaxCommits);
+        fp.mix(a.deadlineFactor);
+        fp.mix(a.maxWeight);
+        fp.mix(a.sleepPeriodCommits);
+        fp.mix(a.sleepDurationCycles);
+        fp.mix(a.profiles.size());
+        for (const std::string &name : a.profiles)
+            fp.mix(name);
+        fp.mix(a.firstAsid);
+        mixSched(fp, server.sched);
+    }
+    const RunOptions &opt = spec.opt;
+    fp.mix(opt.seed);
     fp.mix(opt.warmupInstructions);
     fp.mix(opt.trace ? 1 : 0);
     if (opt.trace)
@@ -85,204 +122,166 @@ warmSnapshotPath(const std::string &dir, std::uint64_t cfg_fp,
 }
 
 /**
- * The warm phase of a run: restore from an explicit snapshot, hit the
- * warm-fork cache, or execute the warmup (`warm`) — then publish the
- * warm machine wherever the options ask. An unreadable or invalid
- * warm-cache entry counts as a miss (the entry is rewarmed and
- * atomically overwritten); an explicit --snapshot-in failure throws.
+ * Drive `budget` commits — per core through absolute System::runTo
+ * targets for a single workload (so a chunked phase lands on exactly
+ * the commits a monolithic one does), in total through the scheduler
+ * otherwise — in chunks of `step`, sampling `series` after every chunk
+ * that committed anything. Stops early once a scheduled machine runs
+ * out of work.
  */
-template <typename WarmFn>
 void
-applyWarmPhase(System &sys, const RunOptions &opt, std::uint64_t ctx_fp,
-               WarmFn &&warm)
+drive(System &sys, bool single, std::uint64_t budget, std::uint64_t step,
+      StatSeries *series)
 {
+    std::vector<std::uint64_t> base;
+    if (single)
+        for (unsigned c = 0; c < sys.numCores(); ++c)
+            base.push_back(sys.core(c).committedCount());
+    std::uint64_t done = 0;
+    while (done < budget) {
+        const std::uint64_t n = std::min(step, budget - done);
+        std::uint64_t did = n;
+        if (single) {
+            std::vector<std::uint64_t> targets(base);
+            for (std::uint64_t &t : targets)
+                t += done + n;
+            sys.runTo(targets);
+        } else {
+            did = sys.runScheduled(n);
+        }
+        done += did;
+        if (series && did)
+            series->sample(sys.maxCommitCycle(), done);
+        if (did < n)
+            break; // every task halted, no arrivals pending
+    }
+}
+
+} // namespace
+
+RunOutput
+run(const RunSpec &spec)
+{
+    const RunOptions &opt = spec.opt;
+    const auto *single = std::get_if<Workload>(&spec.source);
+    const auto *mix = std::get_if<MixSource>(&spec.source);
+    const auto *server = std::get_if<ServerSource>(&spec.source);
+    if (mix && mix->jobs.empty())
+        fatal("run: empty mix");
+
+    SystemConfig c = spec.cfg;
+    c.cores = std::max(c.cores, widestJob(spec.source));
+    c.mem.cores = c.cores;
+    applyRunSeed(c, opt.seed);
+
+    RunOutput out;
+    out.system = std::make_unique<System>(c);
+    System &sys = *out.system;
+    if (opt.trace)
+        sys.attachTracer(opt.traceParams);
+    RunResult &r = out.result;
+    r.configName = spec.configName;
+    if (single) {
+        out.workload = std::make_unique<Workload>(*single);
+        sys.loadWorkload(*out.workload);
+        r.workload = single->name;
+    } else if (mix) {
+        sys.attachScheduler(mix->sched);
+        for (const Workload &w : mix->jobs) {
+            sys.addScheduledWorkload(w);
+            r.workload += (r.workload.empty() ? "" : "+") + w.name;
+        }
+    } else {
+        sys.attachScheduler(server->sched);
+        out.injector =
+            std::make_unique<ArrivalInjector>(sys, server->arrivals);
+        sys.scheduler()->setArrivalSource(out.injector.get());
+        r.workload = "server";
+    }
+
+    // Warm phase: restore from an explicit snapshot, hit the warm-fork
+    // cache, or run the warmup — then publish the warm machine wherever
+    // the options ask. An unreadable or invalid warm-cache entry counts
+    // as a miss (rewarmed and atomically overwritten); an explicit
+    // --snapshot-in failure throws. Server images wrap the System image
+    // in an admission-count frame (sim/arrival.hh).
+    const std::uint64_t ctx_fp = contextFingerprint(spec);
+    const std::uint64_t cfg_fp = sys.configFingerprint();
+    auto restore = [&](std::vector<std::uint8_t> image) {
+        if (server)
+            restoreServerSnapshot(sys, *out.injector, std::move(image),
+                                  ctx_fp);
+        else
+            sys.restoreSnapshot(std::move(image), ctx_fp);
+    };
+    auto save = [&](const std::string &path) {
+        writeSnapshotFile(path,
+                          server ? saveServerSnapshot(sys, *out.injector,
+                                                      ctx_fp)
+                                 : sys.saveSnapshot(ctx_fp));
+    };
+    // Per core for a single workload, in total for scheduled sources.
+    const std::uint64_t scale = single ? 1 : c.cores;
     bool restored = false;
     std::string warm_path;
     if (!opt.snapshotIn.empty()) {
-        sys.restoreSnapshotFile(opt.snapshotIn, ctx_fp);
+        restore(readSnapshotFile(opt.snapshotIn));
         restored = true;
     } else if (!opt.warmSnapshotDir.empty()) {
-        warm_path = warmSnapshotPath(opt.warmSnapshotDir,
-                                     sys.configFingerprint(), ctx_fp);
-        bool valid = true;
+        warm_path = warmSnapshotPath(opt.warmSnapshotDir, cfg_fp, ctx_fp);
         std::vector<std::uint8_t> image;
         try {
             image = readSnapshotFile(warm_path);
             // Validate the full framing (magic, version, fingerprints,
             // CRC) before touching the machine: a failure here leaves
             // the system pristine for the warmup fallback, while a
-            // failure inside restoreSnapshot (a fingerprint-matching
-            // yet inconsistent file) propagates loudly.
-            Deserializer probe(image, sys.configFingerprint(), ctx_fp);
+            // failure inside the restore (a fingerprint-matching yet
+            // inconsistent file) propagates loudly.
+            Deserializer probe(image, cfg_fp, ctx_fp);
             (void)probe;
-        } catch (const SnapshotError &) {
-            valid = false;
-        }
-        if (valid) {
-            sys.restoreSnapshot(std::move(image), ctx_fp);
             restored = true;
+        } catch (const SnapshotError &) {
         }
+        if (restored)
+            restore(std::move(image));
     }
-
-    if (!restored)
-        warm();
-    if (!restored && !warm_path.empty())
-        sys.saveSnapshotFile(warm_path, ctx_fp);
+    if (!restored) {
+        const std::uint64_t warmup =
+            server ? 0 : opt.warmupInstructions * scale;
+        drive(sys, single, warmup, warmup, nullptr);
+        if (!warm_path.empty())
+            save(warm_path);
+    }
     if (!opt.snapshotOut.empty())
-        sys.saveSnapshotFile(opt.snapshotOut, ctx_fp);
-}
+        save(opt.snapshotOut);
 
-} // namespace
+    // Measured phase. A server runs until every job has completed (the
+    // arrival schedule bounds the work), in 50k-commit chunks unless
+    // sampling picks the chunk.
+    sys.resetStats();
+    const Cycle start = sys.maxCommitCycle();
+    if (opt.statsInterval)
+        out.statSeries = std::make_unique<StatSeries>(
+            sys.root(), opt.statsInterval, start);
+    const std::uint64_t budget =
+        server ? std::numeric_limits<std::uint64_t>::max()
+               : opt.measureInstructions * scale;
+    const std::uint64_t step =
+        opt.statsInterval ? opt.statsInterval : server ? 50'000 : budget;
+    drive(sys, single, budget, step, out.statSeries.get());
 
-RunOutput
-runConfigured(const Workload &w, const SystemConfig &cfg,
-              const RunOptions &opt, const std::string &config_name)
-{
-    SystemConfig c = cfg;
-    if (c.cores < w.threads())
-        c.cores = w.threads();
-    c.mem.cores = c.cores;
-    applyRunSeed(c, opt.seed);
-    if (opt.referenceFetch)
-        c.core.decodedFetch = false;
-
-    auto sys = std::make_unique<System>(c);
-    if (opt.trace)
-        sys->attachTracer(opt.traceParams);
-    sys->loadWorkload(w);
-
-    // Warm up caches, TLBs and predictors — or restore the warm
-    // machine from a snapshot — then reset statistics.
-    applyWarmPhase(*sys, opt, runContextFingerprint(w, opt),
-                   [&] { sys->run(opt.warmupInstructions); });
-    sys->resetStats();
-    const Cycle start = sys->maxCommitCycle();
-
-    // Interval sampling chunks the measured phase on *absolute* commit
-    // targets (System::runTo), so the final chunk lands on exactly the
-    // targets a monolithic run() would: a sampled single-core run is
-    // identical to an unsampled one, stats included.
-    std::unique_ptr<StatSeries> series;
-    if (opt.statsInterval) {
-        series = std::make_unique<StatSeries>(sys->root(),
-                                              opt.statsInterval, start);
-        std::vector<std::uint64_t> base(sys->numCores());
-        for (unsigned c = 0; c < sys->numCores(); ++c)
-            base[c] = sys->core(c).committedCount();
-        std::uint64_t done = 0;
-        while (done < opt.measureInstructions) {
-            done = std::min(done + opt.statsInterval,
-                            opt.measureInstructions);
-            std::vector<std::uint64_t> targets(base);
-            for (std::uint64_t &t : targets)
-                t += done;
-            sys->runTo(targets);
-            series->sample(sys->maxCommitCycle(), done);
-        }
+    if (server) {
+        out.report = ServerReport::build(sys, *out.injector);
+        r.cycles = out.report.makespan ? out.report.makespan : 1;
+        r.ipc = out.report.ipc;
     } else {
-        sys->run(opt.measureInstructions);
+        const Cycle end = sys.maxCommitCycle();
+        r.cycles = end > start ? end - start : 1;
+        r.instructionsPerCore = opt.measureInstructions;
+        r.ipc = static_cast<double>(opt.measureInstructions)
+                / static_cast<double>(r.cycles);
     }
-    const Cycle end = sys->maxCommitCycle();
-
-    RunResult r;
-    r.workload = w.name;
-    r.configName = config_name;
-    r.cycles = end > start ? end - start : 1;
-    r.instructionsPerCore = opt.measureInstructions;
-    r.ipc = static_cast<double>(opt.measureInstructions)
-            / static_cast<double>(r.cycles);
-
-    RunOutput out;
-    out.result = r;
-    out.system = std::move(sys);
-    out.statSeries = std::move(series);
     return out;
-}
-
-RunOutput
-runMixConfigured(const std::vector<Workload> &mix, const SystemConfig &cfg,
-                 const SchedParams &sched, const RunOptions &opt,
-                 const std::string &config_name)
-{
-    if (mix.empty())
-        fatal("runMixConfigured: empty mix");
-
-    SystemConfig c = cfg;
-    for (const Workload &w : mix)
-        c.cores = std::max(c.cores, w.threads());
-    c.mem.cores = c.cores;
-    applyRunSeed(c, opt.seed);
-    if (opt.referenceFetch)
-        c.core.decodedFetch = false;
-
-    auto sys = std::make_unique<System>(c);
-    if (opt.trace)
-        sys->attachTracer(opt.traceParams);
-    sys->attachScheduler(sched);
-    std::string mix_name;
-    for (const Workload &w : mix) {
-        sys->addScheduledWorkload(w);
-        mix_name += (mix_name.empty() ? "" : "+") + w.name;
-    }
-
-    const std::uint64_t cores = c.cores;
-    applyWarmPhase(*sys, opt, mixContextFingerprint(mix, sched, opt),
-                   [&] { sys->runScheduled(opt.warmupInstructions * cores); });
-    sys->resetStats();
-    const Cycle start = sys->maxCommitCycle();
-
-    // Chunked runScheduled == monolithic (the scheduler's determinism
-    // contract), so interval sampling observes without perturbing.
-    const std::uint64_t total = opt.measureInstructions * cores;
-    std::unique_ptr<StatSeries> series;
-    if (opt.statsInterval) {
-        series = std::make_unique<StatSeries>(sys->root(),
-                                              opt.statsInterval, start);
-        std::uint64_t done = 0;
-        while (done < total) {
-            const std::uint64_t step =
-                std::min(opt.statsInterval, total - done);
-            const std::uint64_t did = sys->runScheduled(step);
-            done += did;
-            series->sample(sys->maxCommitCycle(), done);
-            if (did < step)
-                break; // every task halted
-        }
-    } else {
-        sys->runScheduled(total);
-    }
-    const Cycle end = sys->maxCommitCycle();
-
-    RunResult r;
-    r.workload = mix_name;
-    r.configName = config_name;
-    r.cycles = end > start ? end - start : 1;
-    r.instructionsPerCore = opt.measureInstructions;
-    r.ipc = static_cast<double>(opt.measureInstructions)
-            / static_cast<double>(r.cycles);
-
-    RunOutput out;
-    out.result = r;
-    out.system = std::move(sys);
-    out.statSeries = std::move(series);
-    return out;
-}
-
-RunResult
-runMixScheme(const std::vector<Workload> &mix, Scheme s, unsigned cores,
-             const SchedParams &sched, const RunOptions &opt)
-{
-    const SystemConfig cfg =
-        SystemConfig::forScheme(s, std::max(1u, cores));
-    return runMixConfigured(mix, cfg, sched, opt, schemeName(s)).result;
-}
-
-RunResult
-runScheme(const Workload &w, Scheme s, const RunOptions &opt)
-{
-    const SystemConfig cfg = SystemConfig::forScheme(
-        s, std::max(1u, w.threads()));
-    return runConfigured(w, cfg, opt, schemeName(s)).result;
 }
 
 double

@@ -1,8 +1,10 @@
 /**
  * @file
- * Experiment runner: builds a system for (workload, scheme/config),
- * warms up, measures, and returns cycle counts — the machinery behind
- * every figure-reproducing bench binary.
+ * Experiment runner: the one front door for a measured run. A RunSpec
+ * names a machine (SystemConfig), a workload source — one workload, a
+ * time-shared mix, or an open-system arrival stream — and the run
+ * options; run() builds the system, warms it up (or restores a
+ * snapshot), measures, and returns the machine with its results.
  */
 
 #ifndef MTRAP_SIM_RUNNER_HH
@@ -10,7 +12,10 @@
 
 #include <memory>
 #include <string>
+#include <variant>
+#include <vector>
 
+#include "sim/arrival.hh"
 #include "sim/system.hh"
 #include "trace/stats_series.hh"
 #include "trace/trace.hh"
@@ -19,9 +24,9 @@
 namespace mtrap
 {
 
-/** Default run lengths, shared by the runner, the CLI front ends and
- *  the figure benches. Small by gem5 standards but big enough for
- *  stable relative timings in this model. */
+/** Default run lengths, shared by the runner and the CLI front ends.
+ *  Small by gem5 standards but big enough for stable relative timings
+ *  in this model. */
 inline constexpr std::uint64_t kDefaultWarmupInstructions = 30'000;
 inline constexpr std::uint64_t kDefaultMeasureInstructions = 100'000;
 
@@ -40,16 +45,6 @@ struct RunOptions
     std::uint64_t seed = 0;
 
     /**
-     * Run on the retained reference interpreter instead of the
-     * pre-decoded fetch path (see CoreParams::decodedFetch). Results
-     * are identical by construction — the differential fuzzer enforces
-     * it — so this is a debugging/measurement knob, exposed as
-     * mtrap_sim --reference-fetch and, for every forScheme-built
-     * system, the MTRAP_REFERENCE_FETCH environment variable.
-     */
-    bool referenceFetch = false;
-
-    /**
      * Attach a Tracer (see trace/trace.hh) to the system before the
      * run: cycle-stamped context switches, squashes, scheduler
      * decisions, filter flushes, spec-buffer clears, L2 misses and bus
@@ -65,7 +60,8 @@ struct RunOptions
      * instructions of the measured phase (0 = off). Relies on the
      * scheduler/system chunked == monolithic determinism contract, so
      * sampling is a pure observation: results and stats are unchanged.
-     * For mix runs the interval counts total commits across cores.
+     * For scheduled sources the interval counts total commits across
+     * cores.
      */
     std::uint64_t statsInterval = 0;
 
@@ -80,8 +76,9 @@ struct RunOptions
 
     /**
      * After the warmup phase (or a restore), save a snapshot of the
-     * warm machine here (mtrap_sim --snapshot-out). Written
-     * atomically; any I/O failure aborts loudly.
+     * warm machine here (mtrap_sim --snapshot-out); a server source
+     * has no warmup, so its snapshot is the machine it starts from.
+     * Written atomically; any I/O failure aborts loudly.
      */
     std::string snapshotOut;
 
@@ -97,6 +94,42 @@ struct RunOptions
     std::string warmSnapshotDir;
 };
 
+/**
+ * Multiprogrammed source: every workload is admitted to a gang
+ * scheduler as its own job and time-shares the machine under `sched`.
+ * Give each job a distinct Workload::asid (see buildNamedWorkload) so
+ * the processes get private address spaces.
+ */
+struct MixSource
+{
+    std::vector<Workload> jobs;
+    SchedParams sched{};
+};
+
+/** Open-system source: a seeded arrival stream admits jobs into a gang
+ *  scheduler mid-run (see sim/arrival.hh). */
+struct ServerSource
+{
+    ArrivalParams arrivals{};
+    SchedParams sched{};
+};
+
+/** Where a run's programs come from. A single workload runs thread i
+ *  on core i with no scheduler. */
+using RunSource = std::variant<Workload, MixSource, ServerSource>;
+
+/** Everything one run needs. */
+struct RunSpec
+{
+    /** The machine. run() raises `cores` to the widest job the source
+     *  can hold and mixes RunOptions::seed into the structure seeds. */
+    SystemConfig cfg{};
+    RunSource source;
+    RunOptions opt{};
+    /** RunResult::configName (usually a scheme name). */
+    std::string configName = "custom";
+};
+
 /** Outcome of one measured run. */
 struct RunResult
 {
@@ -109,55 +142,34 @@ struct RunResult
     double ipc = 0.0;
 };
 
-/** One run with full access to the system afterwards (for stats-based
- *  figures such as figure 7). */
+/** One run, with the machine kept for stats-based figures such as
+ *  figure 7. */
 struct RunOutput
 {
     RunResult result;
+    /** Single-workload sources: the copy the cores run (scheduled
+     *  sources are copied into the System itself). Declared before
+     *  `system`, which points into it. */
+    std::unique_ptr<Workload> workload;
     std::unique_ptr<System> system;
     /** Interval time-series, when RunOptions::statsInterval != 0. */
     std::unique_ptr<StatSeries> statSeries;
+    /** Server sources only: the queueing report, and the arrival
+     *  injector the scheduler still points at. */
+    ServerReport report;
+    std::unique_ptr<ArrivalInjector> injector;
 };
 
 /**
- * Mix RunOptions::seed into every structure seed of `cfg` (caches,
- * filter caches). No-op when seed == 0. Shared by the closed-system
- * runners here and the open-system server runner (sim/arrival.hh).
+ * Run `spec`. Run lengths are per core: a single workload runs each
+ * core RunOptions::{warmup,measure}Instructions commits; a mix runs
+ * that many times the core count in total, and its result names the
+ * members joined with '+'. A server source has no warmup phase — its
+ * cold start is part of the behaviour under study — and runs until
+ * every admitted job completed (measureInstructions is ignored); its
+ * result carries the report's makespan and IPC.
  */
-void applyRunSeed(SystemConfig &cfg, std::uint64_t seed);
-
-/** Run `w` under an explicit configuration. */
-RunOutput runConfigured(const Workload &w, const SystemConfig &cfg,
-                        const RunOptions &opt = {},
-                        const std::string &config_name = "custom");
-
-/** Run `w` under a named scheme on a Table-1 system. */
-RunResult runScheme(const Workload &w, Scheme s,
-                    const RunOptions &opt = {});
-
-/**
- * Multiprogrammed run: every workload in `mix` is admitted to a gang
- * scheduler over cfg.cores cores (raised to the widest job) and
- * time-shares under `sched`. Run lengths are per core: the warmup and
- * measured phases execute opt.{warmup,measure}Instructions * cores
- * committed instructions in total, and RunResult::cycles is the
- * measured phase's makespan. The result's workload name joins the mix
- * members with '+'.
- *
- * Each job should carry a distinct Workload::asid (see
- * buildNamedWorkload) so the processes get private address spaces.
- */
-RunOutput runMixConfigured(const std::vector<Workload> &mix,
-                           const SystemConfig &cfg,
-                           const SchedParams &sched,
-                           const RunOptions &opt = {},
-                           const std::string &config_name = "custom");
-
-/** Multiprogrammed run of `mix` under a named scheme on a Table-1
- *  system with `cores` cores. */
-RunResult runMixScheme(const std::vector<Workload> &mix, Scheme s,
-                       unsigned cores, const SchedParams &sched,
-                       const RunOptions &opt = {});
+RunOutput run(const RunSpec &spec);
 
 /** cycles(x) / cycles(base). */
 double normalizedTime(const RunResult &x, const RunResult &base);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <ostream>
 
 #include "common/log.hh"
 #include "snapshot/snapshot.hh"
@@ -25,18 +24,6 @@ Scheduler::Scheduler(std::vector<Core *> cores, const SchedParams &params)
         cs.core = c;
         cores_.push_back(std::move(cs));
     }
-    // Legacy --sched-trace: a private, detached ring (no stat-tree
-    // footprint). A System-attached Tracer overrides it via setTracer.
-    if (params_.trace)
-        ownTracer_ = std::make_unique<Tracer>(
-            static_cast<unsigned>(cores_.size()), TraceParams{},
-            /*parent=*/nullptr);
-}
-
-Scheduler::Scheduler(Core *core, Cycle quantum)
-    : Scheduler(std::vector<Core *>{core},
-                SchedParams{quantum, /*gang=*/true, /*migrate=*/true})
-{
 }
 
 std::vector<CoreId>
@@ -134,12 +121,10 @@ Scheduler::addJob(const std::vector<const Program *> &threads, Asid asid,
         tasks_.push_back(std::move(task));
     }
 
-    if ((openSystem_ || admit.arrivalCycle) && activeTracer())
-        activeTracer()->recordSched(chosen[0],
-                                    TraceEventKind::SchedArrive,
-                                    admit.arrivalCycle, job,
-                                    static_cast<std::uint32_t>(
-                                        threads.size()));
+    if ((openSystem_ || admit.arrivalCycle) && tracer_)
+        tracer_->recordSched(
+            chosen[0], TraceEventKind::SchedArrive, admit.arrivalCycle,
+            job, static_cast<std::uint32_t>(threads.size()));
     return job;
 }
 
@@ -193,8 +178,6 @@ Scheduler::saveState(Serializer &s) const
     s.u64(switches_);
     s.u64(migrations_);
     s.u64(idleSlots_);
-    if (ownTracer_)
-        ownTracer_->saveState(s);
 }
 
 void
@@ -247,8 +230,6 @@ Scheduler::restoreState(Deserializer &d)
     switches_ = d.u64();
     migrations_ = d.u64();
     idleSlots_ = d.u64();
-    if (ownTracer_)
-        ownTracer_->restoreState(d);
 
     // The cores restored their contexts minus the Program pointer;
     // re-attach each resident task's program (installed by the
@@ -479,11 +460,11 @@ Scheduler::rebalance()
         to.parked = false;
         tasks_[task].core = static_cast<CoreId>(target);
         ++migrations_;
-        if (Tracer *t = activeTracer())
-            t->recordSched(static_cast<CoreId>(target),
-                           TraceEventKind::SchedMigrate,
-                           to.core->now(), tasks_[task].job,
-                           static_cast<std::uint32_t>(donor));
+        if (tracer_)
+            tracer_->recordSched(static_cast<CoreId>(target),
+                                 TraceEventKind::SchedMigrate,
+                                 to.core->now(), tasks_[task].job,
+                                 static_cast<std::uint32_t>(donor));
     }
 }
 
@@ -545,7 +526,7 @@ Scheduler::run(std::uint64_t total_commits)
                     arrivals_->admitUpTo(cs.core->now());
             }
             const Pick pick = designate(cs);
-            if (activeTracer())
+            if (tracer_)
                 recordDecision(cs, static_cast<CoreId>(c), pick);
             if (pick.none) {
                 cs.parked = true;
@@ -595,8 +576,8 @@ Scheduler::run(std::uint64_t total_commits)
         if (complete) {
             t.finishCycle = cs.core->now();
             if ((openSystem_ || t.serviceLimit || t.arrivalCycle)
-                && activeTracer())
-                activeTracer()->recordSched(
+                && tracer_)
+                tracer_->recordSched(
                     static_cast<CoreId>(c),
                     TraceEventKind::SchedComplete, cs.core->now(),
                     t.job, t.thread);
@@ -626,59 +607,15 @@ void
 Scheduler::recordDecision(const CoreState &cs, CoreId core,
                           const Pick &pick)
 {
-    Tracer *t = activeTracer();
     const Cycle when = cs.core->now();
     if (pick.none) {
-        t->recordSched(core, TraceEventKind::SchedPark, when);
+        tracer_->recordSched(core, TraceEventKind::SchedPark, when);
     } else if (pick.idle) {
-        t->recordSched(core, TraceEventKind::SchedIdle, when);
+        tracer_->recordSched(core, TraceEventKind::SchedIdle, when);
     } else {
-        t->recordSched(core, TraceEventKind::SchedRun, when,
-                       tasks_[pick.task].job,
-                       tasks_[pick.task].thread);
-    }
-}
-
-std::vector<SchedTraceRow>
-Scheduler::trace() const
-{
-    std::vector<SchedTraceRow> rows;
-    const Tracer *t = activeTracer();
-    if (!t)
-        return rows;
-    for (const TraceEvent &e : t->schedBuffer().ordered()) {
-        SchedTraceRow row;
-        row.when = e.when;
-        row.slot = e.when / params_.quantum;
-        row.core = e.core;
-        switch (e.kind) {
-          case TraceEventKind::SchedRun:
-            row.action = "run";
-            row.job = static_cast<int>(e.arg0);
-            row.thread = static_cast<int>(e.arg1);
-            break;
-          case TraceEventKind::SchedIdle:
-            row.action = "idle";
-            break;
-          case TraceEventKind::SchedPark:
-            row.action = "park";
-            break;
-          default:
-            continue; // migrations are not decision rows
-        }
-        rows.push_back(row);
-    }
-    return rows;
-}
-
-void
-writeSchedTrace(const Scheduler &sched, std::ostream &os)
-{
-    os << "cycle,slot,core,job,thread,action\n";
-    for (const SchedTraceRow &r : sched.trace()) {
-        os << r.when << "," << r.slot << ","
-           << static_cast<unsigned>(r.core) << "," << r.job << ","
-           << r.thread << "," << r.action << "\n";
+        tracer_->recordSched(core, TraceEventKind::SchedRun, when,
+                             tasks_[pick.task].job,
+                             tasks_[pick.task].thread);
     }
 }
 

@@ -27,8 +27,6 @@
 #define MTRAP_SIM_SCHEDULER_HH
 
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
 #include <vector>
 
 #include "cpu/core.hh"
@@ -60,10 +58,6 @@ struct SchedParams
      * behaviour.
      */
     bool affinity = false;
-    /** Record one SchedTraceRow per scheduling decision (mtrap_sim
-     *  --sched-trace); off by default — the trace grows with run
-     *  length. */
-    bool trace = false;
 };
 
 /**
@@ -129,22 +123,6 @@ struct JobRecord
     bool done = false;
 };
 
-/** One scheduling decision (core→job occupancy at a decision slot). */
-struct SchedTraceRow
-{
-    /** Core front-end clock when the decision was taken. */
-    Cycle when = 0;
-    /** Absolute time slice, when / quantum. */
-    std::uint64_t slot = 0;
-    CoreId core = 0;
-    /** Job chosen to occupy the core, or -1 (idle hole / parked). */
-    int job = -1;
-    /** Thread of `job` on this core, or -1. */
-    int thread = -1;
-    /** "run", "idle" (gang-padding hole) or "park" (queue ran dry). */
-    const char *action = "run";
-};
-
 /**
  * Gang scheduler over one or more cores.
  *
@@ -159,9 +137,6 @@ class Scheduler
 {
   public:
     Scheduler(std::vector<Core *> cores, const SchedParams &params);
-
-    /** Legacy single-core round-robin (quantum-based) constructor. */
-    Scheduler(Core *core, Cycle quantum);
 
     /** Add a single-threaded process on the least-loaded core (restarts
      *  at the program entry when first run). Returns its job id. */
@@ -233,33 +208,19 @@ class Scheduler
     std::uint64_t idleSlots() const { return idleSlots_; }
 
     /**
-     * Decision trace, decoded from the tracer's scheduler ring (empty
-     * unless SchedParams::trace or an attached system Tracer enabled
-     * recording). Rows are in decision order, exactly as PR 5's
-     * in-line vector recorded them.
-     */
-    std::vector<SchedTraceRow> trace() const;
-
-    /**
      * Checkpoint the scheduling state: per-task contexts (minus their
      * Program pointers — restore preserves the pointers the replayed
      * admission installed and re-binds resident tasks onto their
      * cores), per-core run queues / residency / decision-grid
-     * counters, the mid-chunk resume point, and the private
-     * --sched-trace ring when one exists. Call restoreState only after
-     * re-admitting the identical job set in the identical order (the
-     * context fingerprint enforces this from the outside).
+     * counters and the mid-chunk resume point. Call restoreState only
+     * after re-admitting the identical job set in the identical order
+     * (the context fingerprint enforces this from the outside).
      */
     void saveState(Serializer &s) const;
     void restoreState(Deserializer &d);
 
-    /**
-     * Route decision events into `tracer` (the System-owned tracer)
-     * instead of the scheduler's private one. The private tracer — a
-     * detached ring created only when SchedParams::trace is set — keeps
-     * the legacy --sched-trace path alive without touching the
-     * system's stat tree.
-     */
+    /** Record every scheduling decision into `tracer`'s scheduler
+     *  ring (null = recording off). */
     void setTracer(Tracer *tracer) { tracer_ = tracer; }
 
   private:
@@ -353,19 +314,9 @@ class Scheduler
 
     void recordDecision(const CoreState &cs, CoreId core,
                         const Pick &pick);
-    /** The ring decisions go to: the system tracer when attached, else
-     *  the private one, else null (recording disabled). */
-    Tracer *activeTracer() const
-    {
-        return tracer_ ? tracer_ : ownTracer_.get();
-    }
 
     Tracer *tracer_ = nullptr;
-    std::unique_ptr<Tracer> ownTracer_;
 };
-
-/** Serialise a decision trace as CSV (header + one row per decision). */
-void writeSchedTrace(const Scheduler &sched, std::ostream &os);
 
 } // namespace mtrap
 

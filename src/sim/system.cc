@@ -1,7 +1,5 @@
 #include "sim/system.hh"
 
-#include <cstdlib>
-
 #include <algorithm>
 
 #include "common/log.hh"
@@ -16,14 +14,6 @@ SystemConfig::forScheme(Scheme s, unsigned cores)
     SystemConfig cfg;
     cfg.cores = cores;
     cfg.core.defense = schemeCoreDefense(s);
-    // Debug/measurement knob: force every Table-1 system onto the
-    // retained reference interpreter (see CoreParams::decodedFetch), so
-    // one binary can A/B the two fetch paths and a decode-layer bug can
-    // be ruled in or out without a rebuild. Results must not change —
-    // only simulator throughput does.
-    static const bool reference_fetch =
-        std::getenv("MTRAP_REFERENCE_FETCH") != nullptr;
-    cfg.core.decodedFetch = !reference_fetch;
     cfg.mem.cores = cores;
     cfg.mem.mt = schemeMtConfig(s);
     return cfg;
@@ -413,12 +403,6 @@ System::restoreSnapshot(std::vector<std::uint8_t> image,
 
     if (d.peekTag() != kTagEnd)
         throw SnapshotError("unexpected trailing section");
-}
-
-void
-System::restoreSnapshotFile(const std::string &path, std::uint64_t ctx_fp)
-{
-    restoreSnapshot(readSnapshotFile(path), ctx_fp);
 }
 
 } // namespace mtrap

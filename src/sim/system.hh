@@ -154,8 +154,6 @@ class System
      */
     void restoreSnapshot(std::vector<std::uint8_t> image,
                          std::uint64_t ctx_fp);
-    void restoreSnapshotFile(const std::string &path,
-                             std::uint64_t ctx_fp);
 
   private:
     SystemConfig cfg_;

@@ -22,8 +22,8 @@
  * decisions. The scheduler ring is separate because the global decision
  * sequence is *not* cycle-monotonic across cores (a parked core can
  * record a decision at an older cycle than later decisions of other
- * cores), and the legacy --sched-trace CSV must reproduce exactly that
- * decision order, byte for byte.
+ * cores), and the Chrome exporter builds each core's slot spans from
+ * that decision order.
  *
  * Exporters (Chrome trace-event JSON, CSV) live in chrome_trace.hh.
  */
@@ -111,8 +111,8 @@ class TraceBuffer
 {
   public:
     /** `clamp_monotonic` is off for the scheduler ring: its events come
-     *  from different cores' clocks, and the legacy CSV must reproduce
-     *  the (non-monotonic) decision-order cycles exactly. */
+     *  from different cores' clocks, and clamping would rewrite the
+     *  (non-monotonic) decision-order cycles. */
     explicit TraceBuffer(std::size_t entries,
                          bool clamp_monotonic = true);
 
@@ -142,8 +142,7 @@ class TraceBuffer
 
 /**
  * The per-run event sink: one ring per core plus the shared scheduler
- * ring, with recorded/dropped telemetry. Attached to a System (or
- * privately to a Scheduler for legacy --sched-trace runs) for the
+ * ring, with recorded/dropped telemetry. Attached to a System for the
  * run's lifetime; components hold a raw pointer and test it on every
  * hook.
  */
@@ -151,8 +150,7 @@ class Tracer
 {
   public:
     /** `parent` may be null: a detached tracer keeps its stats out of
-     *  the system tree (the legacy sched-trace path must not change
-     *  stat dumps). */
+     *  any stat tree. */
     Tracer(unsigned cores, const TraceParams &params, StatGroup *parent);
 
     unsigned cores() const { return static_cast<unsigned>(perCore_.size()); }

@@ -167,6 +167,16 @@ TEST(Scheme, MtConfigMapping)
 
 // --- end-to-end timing effects -----------------------------------------------------
 
+/** Cycles of `w` under `s`, normalised to the Baseline. */
+double
+normalizedOn(Scheme s, const Workload &w, const RunOptions &opt)
+{
+    auto cyclesOn = [&](Scheme scheme) {
+        return run({SystemConfig::forScheme(scheme), w, opt}).result;
+    };
+    return normalizedTime(cyclesOn(s), cyclesOn(Scheme::Baseline));
+}
+
 TEST(DefenseTiming, SttSlowsPointerChasingMoreThanCompute)
 {
     // STT delays address-dependent loads; a pointer-chase-heavy profile
@@ -178,12 +188,9 @@ TEST(DefenseTiming, SttSlowsPointerChasingMoreThanCompute)
     const Workload chase = buildSpecWorkload("mcf");      // chase heavy
     const Workload compute = buildSpecWorkload("gamess"); // compute
 
-    const double chase_norm =
-        normalizedTime(runScheme(chase, Scheme::SttFuture, opt),
-                       runScheme(chase, Scheme::Baseline, opt));
+    const double chase_norm = normalizedOn(Scheme::SttFuture, chase, opt);
     const double compute_norm =
-        normalizedTime(runScheme(compute, Scheme::SttFuture, opt),
-                       runScheme(compute, Scheme::Baseline, opt));
+        normalizedOn(Scheme::SttFuture, compute, opt);
     EXPECT_GT(chase_norm, compute_norm);
     EXPECT_GT(chase_norm, 1.02);
 }
@@ -194,9 +201,8 @@ TEST(DefenseTiming, InvisiSpecExposuresHappen)
     opt.warmupInstructions = 2'000;
     opt.measureInstructions = 10'000;
     const Workload w = buildSpecWorkload("gobmk"); // branchy -> spec loads
-    RunOutput out = runConfigured(
-        w, SystemConfig::forScheme(Scheme::InvisiSpecSpectre, 1), opt,
-        "is");
+    RunOutput out = run(
+        {SystemConfig::forScheme(Scheme::InvisiSpecSpectre), w, opt, "is"});
     EXPECT_GT(out.system->core(0).exposures.value(), 0u);
     EXPECT_GT(out.system->mem().probes.value(), 0u);
 }
@@ -207,11 +213,8 @@ TEST(DefenseTiming, InvisiSpecFutureSlowerThanSpectreVariant)
     opt.warmupInstructions = 5'000;
     opt.measureInstructions = 20'000;
     const Workload w = buildSpecWorkload("mcf");
-    const RunResult base = runScheme(w, Scheme::Baseline, opt);
-    const double sp = normalizedTime(
-        runScheme(w, Scheme::InvisiSpecSpectre, opt), base);
-    const double fu = normalizedTime(
-        runScheme(w, Scheme::InvisiSpecFuture, opt), base);
+    const double sp = normalizedOn(Scheme::InvisiSpecSpectre, w, opt);
+    const double fu = normalizedOn(Scheme::InvisiSpecFuture, w, opt);
     EXPECT_GE(fu, sp * 0.98)
         << "the Future variant exposes at commit and must not be "
            "meaningfully faster than the Spectre variant";
@@ -223,11 +226,8 @@ TEST(DefenseTiming, SttFutureAtLeastAsSlowAsSttSpectre)
     opt.warmupInstructions = 5'000;
     opt.measureInstructions = 20'000;
     const Workload w = buildSpecWorkload("astar");
-    const RunResult base = runScheme(w, Scheme::Baseline, opt);
-    const double sp =
-        normalizedTime(runScheme(w, Scheme::SttSpectre, opt), base);
-    const double fu =
-        normalizedTime(runScheme(w, Scheme::SttFuture, opt), base);
+    const double sp = normalizedOn(Scheme::SttSpectre, w, opt);
+    const double fu = normalizedOn(Scheme::SttFuture, w, opt);
     EXPECT_GE(fu, sp * 0.98);
 }
 

@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <variant>
 
 #include "harness/pool.hh"
 #include "harness/result_store.hh"
@@ -58,7 +59,9 @@ TEST(SweepBuilder, ScheduledMixJobsAreThreadCountInvariant)
             .schemes({Scheme::MuonTrap})
             .build();
     ASSERT_EQ(jobs.size(), 2u);
-    EXPECT_TRUE(jobs[0].scheduled);
+    const RunSource src = jobs[0].source();
+    ASSERT_TRUE(std::holds_alternative<MixSource>(src));
+    EXPECT_EQ(std::get<MixSource>(src).jobs.size(), 3u);
 
     ExperimentPool serial(1), parallel(4);
     const std::vector<JobResult> a = serial.run(jobs);
@@ -374,7 +377,7 @@ TEST(Seeding, SeededRunsAreReproducible)
 
     JobSpec j;
     j.row = "bzip2";
-    j.workload = [] { return buildNamedWorkload("bzip2", 99); };
+    j.source = []() -> RunSource { return buildNamedWorkload("bzip2", 99); };
     j.cfg = SystemConfig::forScheme(Scheme::MuonTrap, 1);
     j.opt = quick();
     j.opt.seed = 99;

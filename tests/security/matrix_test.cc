@@ -134,14 +134,28 @@ expectIdenticalOutcomes(const AttackOutcome &a, const AttackOutcome &b)
 
 using AttackFn = AttackOutcome (*)(Scheme, const MuonTrapConfig *);
 
-class NewAttackDeterminism
-    : public ::testing::TestWithParam<std::pair<const char *, AttackFn>>
+struct NamedAttack
+{
+    const char *name;
+    AttackFn fn;
+};
+
+// Print the attack by name only: gtest's default printer shows the two
+// pointers, whose addresses change from run to run, so the listed test
+// names would never repeat.
+void
+PrintTo(const NamedAttack &a, std::ostream *os)
+{
+    *os << a.name;
+}
+
+class NewAttackDeterminism : public ::testing::TestWithParam<NamedAttack>
 {
 };
 
 TEST_P(NewAttackDeterminism, RunTwiceIsBitIdentical)
 {
-    const AttackFn fn = GetParam().second;
+    const AttackFn fn = GetParam().fn;
     // Two schemes bracketing the interesting behaviour: the leaky
     // baseline and the defence with the most machinery.
     for (Scheme s : {Scheme::Baseline, Scheme::MuonTrap}) {
@@ -153,13 +167,14 @@ TEST_P(NewAttackDeterminism, RunTwiceIsBitIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     ExtendedAttacks, NewAttackDeterminism,
-    ::testing::Values(
-        std::make_pair("bus_covert", &runBusCovertChannel),
-        std::make_pair("prefetch_covert", &runPrefetchCovertChannel),
-        std::make_pair("l2_prime_probe", &runL2PrimeProbe),
-        std::make_pair("spec_store", &runSpecStoreChannel)),
-    [](const ::testing::TestParamInfo<std::pair<const char *, AttackFn>>
-           &info) { return std::string(info.param.first); });
+    ::testing::Values(NamedAttack{"bus_covert", &runBusCovertChannel},
+                      NamedAttack{"prefetch_covert",
+                                  &runPrefetchCovertChannel},
+                      NamedAttack{"l2_prime_probe", &runL2PrimeProbe},
+                      NamedAttack{"spec_store", &runSpecStoreChannel}),
+    [](const ::testing::TestParamInfo<NamedAttack> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace mtrap

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/arrival.hh"
+#include "sim/runner.hh"
 #include "sim/scheduler.hh"
 #include "sim/system.hh"
 #include "snapshot/snapshot.hh"
@@ -377,18 +378,18 @@ TEST(ServerRun, RunServerConfiguredReportsAndSamplesSeries)
     ArrivalParams ap = tinyArrivals();
     RunOptions opt;
     opt.statsInterval = 2'000;
-    const ServerRunOutput out = runServerConfigured(
-        SystemConfig::forScheme(Scheme::Baseline, 2), tinySched(), ap,
-        opt, "Baseline");
+    const RunOutput out =
+        run({SystemConfig::forScheme(Scheme::Baseline, 2),
+             ServerSource{ap, tinySched()}, opt, "Baseline"});
     EXPECT_EQ(out.report.completed, ap.jobs);
     ASSERT_NE(out.statSeries, nullptr);
     EXPECT_GT(out.statSeries->rows().size(), 0u);
 
     // Sampling is pure observation: an unsampled run lands on the same
     // makespan and percentiles.
-    const ServerRunOutput plain = runServerConfigured(
-        SystemConfig::forScheme(Scheme::Baseline, 2), tinySched(), ap,
-        {}, "Baseline");
+    const RunOutput plain =
+        run({SystemConfig::forScheme(Scheme::Baseline, 2),
+             ServerSource{ap, tinySched()}, {}, "Baseline"});
     EXPECT_EQ(plain.report.makespan, out.report.makespan);
     EXPECT_EQ(plain.report.sojournP95, out.report.sojournP95);
 }

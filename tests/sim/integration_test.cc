@@ -28,11 +28,18 @@ quick()
     return opt;
 }
 
+/** A quick() run of `w` under `s` on a Table-1 system. */
+RunResult
+quickRun(const Workload &w, Scheme s)
+{
+    return run({SystemConfig::forScheme(s), w, quick()}).result;
+}
+
 TEST(Integration, EverySchemeRunsEverywhere)
 {
     const Workload w = buildSpecWorkload("bzip2");
     for (Scheme s : allSchemes()) {
-        const RunResult r = runScheme(w, s, quick());
+        const RunResult r = quickRun(w, s);
         EXPECT_GT(r.cycles, 0u) << schemeName(s);
         EXPECT_GT(r.ipc, 0.05) << schemeName(s);
         EXPECT_LT(r.ipc, 8.1) << schemeName(s);
@@ -42,9 +49,9 @@ TEST(Integration, EverySchemeRunsEverywhere)
 TEST(Integration, NormalizedTimesInSaneRange)
 {
     const Workload w = buildSpecWorkload("hmmer");
-    const RunResult base = runScheme(w, Scheme::Baseline, quick());
+    const RunResult base = quickRun(w, Scheme::Baseline);
     for (Scheme s : allSchemes()) {
-        const double n = normalizedTime(runScheme(w, s, quick()), base);
+        const double n = normalizedTime(quickRun(w, s), base);
         EXPECT_GT(n, 0.5) << schemeName(s);
         EXPECT_LT(n, 4.0) << schemeName(s);
     }
@@ -53,8 +60,8 @@ TEST(Integration, NormalizedTimesInSaneRange)
 TEST(Integration, MultiCoreParsecRunsAllThreads)
 {
     const Workload w = buildParsecWorkload("swaptions");
-    RunOutput out = runConfigured(
-        w, SystemConfig::forScheme(Scheme::MuonTrap, 4), quick(), "mt");
+    RunOutput out =
+        run({SystemConfig::forScheme(Scheme::MuonTrap, 4), w, quick(), "mt"});
     for (unsigned c = 0; c < 4; ++c)
         EXPECT_GT(out.system->core(c).committedCount(), 10'000u)
             << "core " << c;
@@ -63,25 +70,23 @@ TEST(Integration, MultiCoreParsecRunsAllThreads)
 TEST(Integration, DeterministicAcrossRuns)
 {
     const Workload w = buildSpecWorkload("gcc");
-    const RunResult a = runScheme(w, Scheme::MuonTrap, quick());
-    const RunResult b = runScheme(w, Scheme::MuonTrap, quick());
+    const RunResult a = quickRun(w, Scheme::MuonTrap);
+    const RunResult b = quickRun(w, Scheme::MuonTrap);
     EXPECT_EQ(a.cycles, b.cycles)
         << "identical configuration must be bit-reproducible";
 }
 
 TEST(Integration, MuonTrapCommitsWriteThroughs)
 {
-    RunOutput out = runConfigured(
-        buildSpecWorkload("soplex"),
-        SystemConfig::forScheme(Scheme::MuonTrap, 1), quick(), "mt");
+    RunOutput out = run({SystemConfig::forScheme(Scheme::MuonTrap),
+                         buildSpecWorkload("soplex"), quick(), "mt"});
     EXPECT_GT(out.system->mem().commitWriteThroughs.value(), 100u);
 }
 
 TEST(Integration, RunnerResetsStatsAfterWarmup)
 {
-    RunOutput out = runConfigured(
-        buildSpecWorkload("hmmer"),
-        SystemConfig::forScheme(Scheme::Baseline, 1), quick(), "b");
+    RunOutput out = run({SystemConfig::forScheme(Scheme::Baseline),
+                         buildSpecWorkload("hmmer"), quick(), "b"});
     // Committed counters were reset post-warmup; core counter keeps the
     // absolute value but the stats group was reset.
     EXPECT_GE(out.system->core(0).committedCount(),
@@ -101,7 +106,7 @@ TEST(Scheduler, RoundRobinsAndFlushes)
     if (w2.init)
         w2.init(sys.mem());
 
-    Scheduler sched(&sys.core(0), /*quantum=*/20'000);
+    Scheduler sched({&sys.core(0)}, SchedParams{/*quantum=*/20'000});
     sched.addTask(&w1.threadPrograms[0], 1);
     sched.addTask(&w2.threadPrograms[0], 2);
     const std::uint64_t done = sched.run(120'000);
@@ -119,7 +124,7 @@ TEST(Scheduler, SingleTaskNeverSwitches)
     const Workload w = buildSpecWorkload("hmmer");
     if (w.init)
         w.init(sys.mem());
-    Scheduler sched(&sys.core(0), 10'000);
+    Scheduler sched({&sys.core(0)}, SchedParams{10'000});
     sched.addTask(&w.threadPrograms[0], 1);
     sched.run(50'000);
     EXPECT_EQ(sched.switches(), 0u);

@@ -199,9 +199,8 @@ TEST_P(SchemeInvariantTest, MuonTrapL1NeverHoldsUncommittedLines)
     RunOptions opt;
     opt.warmupInstructions = 3'000;
     opt.measureInstructions = 10'000;
-    RunOutput out = runConfigured(
-        buildSpecWorkload(GetParam()),
-        SystemConfig::forScheme(Scheme::MuonTrap, 1), opt, "mt");
+    RunOutput out = run({SystemConfig::forScheme(Scheme::MuonTrap),
+                         buildSpecWorkload(GetParam()), opt, "mt"});
     auto check = [](CacheLine &l) { EXPECT_TRUE(l.committed); };
     out.system->mem().l1d(0).forEachLine(check);
     out.system->mem().l1i(0).forEachLine(check);
@@ -213,9 +212,8 @@ TEST_P(SchemeInvariantTest, FilterStateSharedAfterRealPrograms)
     RunOptions opt;
     opt.warmupInstructions = 3'000;
     opt.measureInstructions = 10'000;
-    RunOutput out = runConfigured(
-        buildSpecWorkload(GetParam()),
-        SystemConfig::forScheme(Scheme::MuonTrap, 1), opt, "mt");
+    RunOutput out = run({SystemConfig::forScheme(Scheme::MuonTrap),
+                         buildSpecWorkload(GetParam()), opt, "mt"});
     out.system->mem().muontrap(0).dataFilter()->forEachLine(
         [](CacheLine &l) {
             EXPECT_EQ(l.state, CoherState::Shared);

@@ -175,7 +175,7 @@ TEST(SchedulerRun, TotalCommitsAreExactForNonHaltingTasks)
     if (w2.init)
         w2.init(sys.mem());
 
-    Scheduler sched(&sys.core(0), /*quantum=*/7'000);
+    Scheduler sched({&sys.core(0)}, SchedParams{/*quantum=*/7'000});
     sched.addTask(&w1.threadPrograms[0], 1);
     sched.addTask(&w2.threadPrograms[0], 2);
     EXPECT_EQ(sched.run(40'003), 40'003u);

@@ -19,6 +19,7 @@
 #include <sstream>
 
 #include "sim/runner.hh"
+#include "trace/chrome_trace.hh"
 #include "sim/scheduler.hh"
 #include "sim/system.hh"
 #include "workload/parsec_profiles.hh"
@@ -186,62 +187,11 @@ TEST(GangScheduler, RunTotalsAreExactAcrossCores)
 
 TEST(GangScheduler, DecisionTraceRecordsOccupancyRows)
 {
-    auto build = [] {
+    auto build = [](bool traced) {
         SystemConfig cfg = SystemConfig::forScheme(Scheme::MuonTrap, 2);
         auto sys = std::make_unique<System>(cfg);
-        SchedParams sp;
-        sp.quantum = 5'000;
-        sp.trace = true;
-        sys->attachScheduler(sp);
-        Asid asid = 1;
-        for (const char *name : {"hmmer", "gamess", "mcf"})
-            sys->addScheduledWorkload(
-                buildWorkload(specProfile(name), asid++));
-        return sys;
-    };
-
-    auto sys = build();
-    EXPECT_EQ(sys->runScheduled(30'000), 30'000u);
-    const auto &rows = sys->scheduler()->trace();
-    ASSERT_FALSE(rows.empty());
-    std::uint64_t runs = 0;
-    for (const SchedTraceRow &r : rows) {
-        EXPECT_LT(r.core, 2u);
-        const std::string action = r.action;
-        EXPECT_TRUE(action == "run" || action == "idle" ||
-                    action == "park");
-        if (action == "run") {
-            ++runs;
-            EXPECT_GE(r.job, 0);
-            EXPECT_LT(r.job, 3);
-            EXPECT_EQ(r.thread, 0); // single-threaded jobs
-        } else {
-            EXPECT_EQ(r.job, -1);
-        }
-        EXPECT_EQ(r.slot, r.when / 5'000);
-    }
-    EXPECT_GT(runs, 0u);
-
-    // CSV serialisation: header plus one line per decision.
-    std::ostringstream csv;
-    writeSchedTrace(*sys->scheduler(), csv);
-    const std::string s = csv.str();
-    EXPECT_EQ(s.rfind("cycle,slot,core,job,thread,action\n", 0), 0u);
-    EXPECT_EQ(static_cast<std::size_t>(
-                  std::count(s.begin(), s.end(), '\n')),
-              rows.size() + 1);
-
-    // The trace is deterministic: an identical run traces identically.
-    auto sys2 = build();
-    EXPECT_EQ(sys2->runScheduled(30'000), 30'000u);
-    std::ostringstream csv2;
-    writeSchedTrace(*sys2->scheduler(), csv2);
-    EXPECT_EQ(csv.str(), csv2.str());
-
-    // Tracing must not perturb the simulation itself.
-    auto untraced = [] {
-        SystemConfig cfg = SystemConfig::forScheme(Scheme::MuonTrap, 2);
-        auto sys = std::make_unique<System>(cfg);
+        if (traced)
+            sys->attachTracer();
         SchedParams sp;
         sp.quantum = 5'000;
         sys->attachScheduler(sp);
@@ -250,9 +200,64 @@ TEST(GangScheduler, DecisionTraceRecordsOccupancyRows)
             sys->addScheduledWorkload(
                 buildWorkload(specProfile(name), asid++));
         EXPECT_EQ(sys->runScheduled(30'000), 30'000u);
-        return statsOf(*sys);
+        return sys;
     };
-    EXPECT_EQ(statsOf(*sys), untraced());
+
+    // Decision rows live on the system tracer's scheduler ring. Each
+    // core's clock is monotonic, so its decision slots (when / quantum)
+    // never go backwards.
+    auto sys = build(true);
+    const Tracer &tracer = *sys->tracer();
+    std::uint64_t rows = 0, runs = 0;
+    std::vector<std::uint64_t> last_slot(2, 0);
+    for (const TraceEvent &e : tracer.schedBuffer().ordered()) {
+        if (e.kind == TraceEventKind::SchedMigrate)
+            continue; // migrations are not decision rows
+        ++rows;
+        ASSERT_LT(e.core, 2u);
+        if (e.kind == TraceEventKind::SchedRun) {
+            ++runs;
+            EXPECT_LT(e.arg0, 3u);
+            EXPECT_EQ(e.arg1, 0u); // single-threaded jobs
+        } else {
+            EXPECT_TRUE(e.kind == TraceEventKind::SchedIdle
+                        || e.kind == TraceEventKind::SchedPark);
+        }
+        const std::uint64_t slot = e.when / 5'000;
+        EXPECT_GE(slot, last_slot[e.core]);
+        last_slot[e.core] = slot;
+    }
+    EXPECT_GT(runs, 0u);
+
+    // CSV export: header plus one sched_run/idle/park line per
+    // decision, next to the other traced events.
+    std::ostringstream csv;
+    writeTraceCsv(tracer, csv);
+    const std::string s = csv.str();
+    EXPECT_EQ(s.rfind("cycle,core,kind,arg0,arg1\n", 0), 0u);
+    std::istringstream lines(s);
+    std::uint64_t decision_lines = 0;
+    for (std::string line; std::getline(lines, line);)
+        if (line.find(",sched_run,") != std::string::npos
+            || line.find(",sched_idle,") != std::string::npos
+            || line.find(",sched_park,") != std::string::npos)
+            ++decision_lines;
+    EXPECT_EQ(decision_lines, rows);
+
+    // The trace is deterministic: an identical run traces identically.
+    auto sys2 = build(true);
+    std::ostringstream csv2;
+    writeTraceCsv(*sys2->tracer(), csv2);
+    EXPECT_EQ(s, csv2.str());
+
+    // Tracing must not perturb the simulation itself: the stat tree
+    // differs only by the tracer's own recorded/dropped group.
+    std::istringstream in(statsOf(*sys));
+    std::string line, traced_stats;
+    while (std::getline(in, line))
+        if (line.rfind("system.trace.", 0) != 0)
+            traced_stats += line + "\n";
+    EXPECT_EQ(traced_stats, statsOf(*build(false)));
 }
 
 } // namespace

@@ -151,12 +151,12 @@ TEST(SnapshotRoundTrip, TracedIntervalSampledRunThroughRunner)
     save_opt.trace = true;
     save_opt.statsInterval = 1'500;
     save_opt.snapshotOut = snap;
-    RunOutput mono = runConfigured(w, cfg, save_opt, "mt");
+    RunOutput mono = run({cfg, w, save_opt, "mt"});
 
     RunOptions load_opt = save_opt;
     load_opt.snapshotOut.clear();
     load_opt.snapshotIn = snap;
-    RunOutput rest = runConfigured(w, cfg, load_opt, "mt");
+    RunOutput rest = run({cfg, w, load_opt, "mt"});
 
     EXPECT_EQ(rest.result.cycles, mono.result.cycles);
     EXPECT_EQ(rest.result.ipc, mono.result.ipc);
@@ -224,9 +224,9 @@ TEST(SnapshotRoundTrip, WarmForkCacheHitSkipsWarmupBitIdentically)
     opt.warmSnapshotDir = dir;
 
     // Miss: warms up and populates the cache.
-    RunOutput cold = runConfigured(w, cfg, opt, "is");
+    RunOutput cold = run({cfg, w, opt, "is"});
     // Hit: restores instead of warming.
-    RunOutput hit = runConfigured(w, cfg, opt, "is");
+    RunOutput hit = run({cfg, w, opt, "is"});
 
     EXPECT_EQ(hit.result.cycles, cold.result.cycles);
     EXPECT_EQ(hit.result.ipc, cold.result.ipc);
@@ -235,7 +235,7 @@ TEST(SnapshotRoundTrip, WarmForkCacheHitSkipsWarmupBitIdentically)
     // And a run with no warm cache at all agrees too.
     RunOptions plain = opt;
     plain.warmSnapshotDir.clear();
-    RunOutput none = runConfigured(w, cfg, plain, "is");
+    RunOutput none = run({cfg, w, plain, "is"});
     ASSERT_EQ(statsJson(*none.system), statsJson(*cold.system));
 }
 

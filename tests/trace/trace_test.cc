@@ -169,9 +169,9 @@ TEST(TraceDeterminism, SameSeedSameBytes)
     const Workload w1 = buildWorkload(specProfile("mcf"), 1);
     const Workload w2 = buildWorkload(specProfile("mcf"), 1);
     const std::string t1 =
-        chromeTraceOf(runConfigured(w1, cfg, opt));
+        chromeTraceOf(run({cfg, w1, opt}));
     const std::string t2 =
-        chromeTraceOf(runConfigured(w2, cfg, opt));
+        chromeTraceOf(run({cfg, w2, opt}));
     EXPECT_FALSE(t1.empty());
     EXPECT_EQ(t1, t2);
 }
@@ -183,9 +183,9 @@ TEST(TraceDeterminism, ScheduledRunSameBytesAndHasJobSpans)
     const SystemConfig cfg = SystemConfig::forScheme(Scheme::MuonTrap, 2);
 
     const std::string t1 = chromeTraceOf(
-        runMixConfigured(shortMix(), cfg, shortSched(), opt));
+        run({cfg, MixSource{shortMix(), shortSched()}, opt}));
     const std::string t2 = chromeTraceOf(
-        runMixConfigured(shortMix(), cfg, shortSched(), opt));
+        run({cfg, MixSource{shortMix(), shortSched()}, opt}));
     EXPECT_EQ(t1, t2);
 
     // Scheduler slots render as complete ("X") spans named after the
@@ -213,7 +213,7 @@ TEST(TraceDeterminism, ThreadCountInvariantThroughHarness)
             j.row = names[i];
             j.col = "MuonTrap";
             const std::string name = names[i];
-            j.workload = [name] {
+            j.source = [name]() -> RunSource {
                 return buildWorkload(specProfile(name), 1);
             };
             j.cfg = SystemConfig::forScheme(Scheme::MuonTrap);
@@ -262,9 +262,9 @@ TEST(TraceOverhead, TracedRunMatchesUntracedRun)
     traced.trace = true;
 
     RunOutput a =
-        runMixConfigured(shortMix(), cfg, shortSched(), plain);
+        run({cfg, MixSource{shortMix(), shortSched()}, plain});
     RunOutput b =
-        runMixConfigured(shortMix(), cfg, shortSched(), traced);
+        run({cfg, MixSource{shortMix(), shortSched()}, traced});
     EXPECT_EQ(a.result.cycles, b.result.cycles);
     EXPECT_EQ(statsOf(*a.system), statsWithoutTraceGroup(*b.system));
 }
@@ -279,8 +279,8 @@ TEST(TraceOverhead, SampledRunMatchesUnsampledRun)
     RunOptions sampled = shortRun();
     sampled.statsInterval = 1'000;
 
-    RunOutput a = runConfigured(w1, cfg, plain);
-    RunOutput b = runConfigured(w2, cfg, sampled);
+    RunOutput a = run({cfg, w1, plain});
+    RunOutput b = run({cfg, w2, sampled});
     EXPECT_EQ(a.result.cycles, b.result.cycles);
     EXPECT_EQ(statsOf(*a.system), statsOf(*b.system));
     ASSERT_NE(b.statSeries, nullptr);
@@ -307,7 +307,7 @@ TEST(StatSeries, IntervalsSumExactlyToAggregates)
 
     SchedParams sp;
     sp.quantum = 1'000;
-    RunOutput out = runMixConfigured(mix, cfg, sp, opt);
+    RunOutput out = run({cfg, MixSource{mix, sp}, opt});
     ASSERT_NE(out.statSeries, nullptr);
     const StatSeries &series = *out.statSeries;
     EXPECT_EQ(series.rows().size(), 10u);
@@ -348,7 +348,7 @@ TEST(StatSeries, CsvIsDeterministicAndShaped)
 
     auto csvOnce = [&] {
         const Workload w = buildWorkload(specProfile("mcf"), 1);
-        RunOutput out = runConfigured(w, cfg, opt);
+        RunOutput out = run({cfg, w, opt});
         std::ostringstream os;
         out.statSeries->writeCsv(os);
         return os.str();
@@ -374,7 +374,7 @@ TEST(ChromeTraceValidator, AcceptsRealTraceRejectsTampered)
     opt.trace = true;
     const SystemConfig cfg = SystemConfig::forScheme(Scheme::MuonTrap, 2);
     std::string good = chromeTraceOf(
-        runMixConfigured(shortMix(), cfg, shortSched(), opt));
+        run({cfg, MixSource{shortMix(), shortSched()}, opt}));
 
     std::string err;
     EXPECT_TRUE(validateChromeTrace(good, err)) << err;
@@ -422,31 +422,6 @@ TEST(ChromeTraceValidator, RejectsMalformedDocuments)
         "\"ts\":10}]}",
         err))
         << err;
-}
-
-// ------------------------------------------------------------- legacy CSV
-
-TEST(SchedTraceCompat, LegacyCsvUnchangedByAttachedTracer)
-{
-    // The legacy --sched-trace CSV (private detached tracer) and the
-    // same run under a full system tracer must decode to identical
-    // decision rows: the shared ring preserves global decision order.
-    auto runOnce = [](bool system_tracer) {
-        RunOptions opt = shortRun();
-        opt.trace = system_tracer;
-        SchedParams sp = shortSched();
-        sp.trace = !system_tracer;
-        const SystemConfig cfg =
-            SystemConfig::forScheme(Scheme::MuonTrap, 2);
-        RunOutput out = runMixConfigured(shortMix(), cfg, sp, opt);
-        std::ostringstream os;
-        writeSchedTrace(*out.system->scheduler(), os);
-        return os.str();
-    };
-    const std::string legacy = runOnce(false);
-    const std::string via_system = runOnce(true);
-    EXPECT_EQ(legacy.rfind("cycle,slot,core,job,thread,action\n", 0), 0u);
-    EXPECT_EQ(legacy, via_system);
 }
 
 } // namespace

@@ -33,13 +33,14 @@ class SpecSmokeTest : public ::testing::TestWithParam<std::string>
 TEST_P(SpecSmokeTest, RunsUnderBaselineAndMuonTrap)
 {
     const Workload w = buildSpecWorkload(GetParam());
-    const RunResult base = runScheme(w, Scheme::Baseline, smokeOptions());
+    const RunResult base =
+        run({SystemConfig::forScheme(Scheme::Baseline), w, smokeOptions()})
+            .result;
     EXPECT_GT(base.ipc, 0.01);
     EXPECT_LE(base.ipc, 8.0);
 
-    RunOutput mt = runConfigured(
-        w, SystemConfig::forScheme(Scheme::MuonTrap, 1), smokeOptions(),
-        "mt");
+    RunOutput mt = run(
+        {SystemConfig::forScheme(Scheme::MuonTrap), w, smokeOptions(), "mt"});
     EXPECT_GT(mt.result.ipc, 0.01);
 
     // Structural security invariants after real execution.
@@ -71,9 +72,8 @@ class ParsecSmokeTest : public ::testing::TestWithParam<std::string>
 TEST_P(ParsecSmokeTest, RunsOnFourCoresUnderMuonTrap)
 {
     const Workload w = buildParsecWorkload(GetParam());
-    RunOutput mt = runConfigured(
-        w, SystemConfig::forScheme(Scheme::MuonTrap, 4), smokeOptions(),
-        "mt");
+    RunOutput mt = run({SystemConfig::forScheme(Scheme::MuonTrap, 4), w,
+                        smokeOptions(), "mt"});
     for (unsigned c = 0; c < 4; ++c) {
         EXPECT_GE(mt.system->core(c).committedCount(), 8'000u)
             << "core " << c << " fell behind";
@@ -88,9 +88,11 @@ TEST_P(ParsecSmokeTest, RunsOnFourCoresUnderMuonTrap)
 TEST_P(ParsecSmokeTest, RunsUnderSttAndInvisiSpec)
 {
     const Workload w = buildParsecWorkload(GetParam());
-    EXPECT_GT(runScheme(w, Scheme::SttFuture, smokeOptions()).ipc, 0.01);
-    EXPECT_GT(runScheme(w, Scheme::InvisiSpecFuture, smokeOptions()).ipc,
-              0.01);
+    for (Scheme s : {Scheme::SttFuture, Scheme::InvisiSpecFuture})
+        EXPECT_GT(
+            run({SystemConfig::forScheme(s), w, smokeOptions()}).result.ipc,
+            0.01)
+            << schemeName(s);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -114,7 +114,7 @@ quickRun(const Workload &w, Scheme s)
     RunOptions opt;
     opt.warmupInstructions = 5'000;
     opt.measureInstructions = 20'000;
-    return runScheme(w, s, opt);
+    return run({SystemConfig::forScheme(s), w, opt}).result;
 }
 
 TEST(Behaviour, ComputeProfileHasHighIpc)
@@ -138,9 +138,8 @@ TEST(Behaviour, BranchyProfileMispredicts)
     RunOptions opt;
     opt.warmupInstructions = 5'000;
     opt.measureInstructions = 20'000;
-    RunOutput out = runConfigured(
-        buildSpecWorkload("gobmk"),
-        SystemConfig::forScheme(Scheme::Baseline, 1), opt, "b");
+    RunOutput out = run({SystemConfig::forScheme(Scheme::Baseline),
+                         buildSpecWorkload("gobmk"), opt, "b"});
     EXPECT_GT(out.system->core(0).squashes.value(), 100u)
         << "gobmk-like profiles must mispredict heavily";
 }
@@ -150,9 +149,8 @@ TEST(Behaviour, SharedProfileGeneratesCoherenceTraffic)
     RunOptions opt;
     opt.warmupInstructions = 5'000;
     opt.measureInstructions = 15'000;
-    RunOutput out = runConfigured(
-        buildParsecWorkload("ferret"),
-        SystemConfig::forScheme(Scheme::Baseline, 4), opt, "f");
+    RunOutput out = run({SystemConfig::forScheme(Scheme::Baseline, 4),
+                         buildParsecWorkload("ferret"), opt, "f"});
     EXPECT_GT(out.system->mem().bus().remoteSupplies.value(), 0u)
         << "shared writes must cause cache-to-cache transfers";
 }
@@ -162,9 +160,8 @@ TEST(Behaviour, StreamProfileTriggersPrefetcher)
     RunOptions opt;
     opt.warmupInstructions = 5'000;
     opt.measureInstructions = 15'000;
-    RunOutput out = runConfigured(
-        buildSpecWorkload("lbm"),
-        SystemConfig::forScheme(Scheme::Baseline, 1), opt, "l");
+    RunOutput out = run({SystemConfig::forScheme(Scheme::Baseline),
+                         buildSpecWorkload("lbm"), opt, "l"});
     EXPECT_GT(out.system->mem().prefetcher()->issued.value(), 50u);
 }
 

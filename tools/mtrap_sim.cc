@@ -22,8 +22,10 @@
  *                        seeds (default)
  *   --filter-size BYTES  data filter-cache size (default 2048)
  *   --filter-assoc N     data filter-cache associativity (default 4)
- *   --baseline           also run the unprotected baseline and report
- *                        normalised execution time
+ *   --baseline           also run the unprotected baseline (same run
+ *                        lengths, seed and workloads; no tracing,
+ *                        sampling or snapshots) and report normalised
+ *                        execution time
  *   --stats              dump full statistics (text)
  *   --json               dump full statistics (JSON)
  *
@@ -40,9 +42,6 @@
  *                        cores
  *   --affinity           prefer migrating a job back onto the core that
  *                        last ran it (cache-affinity-aware migration)
- *   --sched-trace FILE   dump one CSV row per scheduling decision
- *                        (cycle,slot,core,job,thread,action) for
- *                        schedule visualisation
  *
  * Open-system server options (see src/sim/arrival.hh; no --workload —
  * jobs arrive continuously, run to a finite service demand and leave):
@@ -94,13 +93,13 @@
 #include <exception>
 #include <iostream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/checked_io.hh"
 #include "common/log.hh"
 #include "common/parse.hh"
 #include "harness/job.hh"
-#include "sim/arrival.hh"
 #include "sim/json_stats.hh"
 #include "sim/runner.hh"
 #include "trace/chrome_trace.hh"
@@ -120,12 +119,11 @@ usage()
                  "[--scheme NAME] [--instructions N]\n"
                  "                 [--warmup N] [--seed S] "
                  "[--filter-size B] [--filter-assoc N]\n"
-                 "                 [--baseline] [--stats] [--json] "
-                 "[--reference-fetch]\n"
+                 "                 [--baseline] [--stats] [--json]\n"
                  "                 [--timeshare NAME]... [--cores N] "
                  "[--quantum C]\n"
                  "                 [--no-gang] [--no-migrate] "
-                 "[--affinity] [--sched-trace FILE]\n"
+                 "[--affinity]\n"
                  "                 [--trace FILE] [--trace-csv FILE]\n"
                  "                 [--stats-interval N] "
                  "[--stats-out FILE]\n"
@@ -201,7 +199,6 @@ runTool(int argc, char **argv)
     std::vector<std::string> timeshare;
     unsigned cores = 0;
     SchedParams sched;
-    std::string sched_trace_path;
     std::string trace_path, trace_csv_path, stats_out_path;
     bool server = false;
     ArrivalParams arrivals;
@@ -234,10 +231,6 @@ runTool(int argc, char **argv)
             opt.warmupInstructions = parseNumber(next());
         } else if (arg == "--seed") {
             opt.seed = parseNumber(next());
-        } else if (arg == "--reference-fetch") {
-            // Reference-interpreter fetch path: identical results,
-            // decode layer bypassed (debugging/measurement).
-            opt.referenceFetch = true;
         } else if (arg == "--filter-size") {
             filter_size = parseNumber(next());
         } else if (arg == "--filter-assoc") {
@@ -290,9 +283,6 @@ runTool(int argc, char **argv)
             arrivals.sleepPeriodCommits = parseNumber(next());
         } else if (arg == "--sleep-duration") {
             arrivals.sleepDurationCycles = parseNumber(next());
-        } else if (arg == "--sched-trace") {
-            sched_trace_path = next();
-            sched.trace = true;
         } else if (arg == "--trace") {
             trace_path = next();
             opt.trace = true;
@@ -322,28 +312,48 @@ runTool(int argc, char **argv)
     if (!stats_out_path.empty() && !opt.statsInterval)
         fatal("--stats-out needs --stats-interval");
     if (!server && timeshare.empty() &&
-        (cores || !sched.gang || !sched.migrate || sched.affinity
-         || sched.trace))
+        (cores || !sched.gang || !sched.migrate || sched.affinity))
         warn("scheduler flags have no effect without --timeshare");
 
-    // Open-system server mode: no --workload, jobs come from the
-    // arrival process and run to their service demands.
+    if (server && (!workload_name.empty() || !timeshare.empty()))
+        fatal("--arrivals replaces --workload/--timeshare (jobs come "
+              "from the arrival process; shape the mix with "
+              "--arrival-mix)");
+
+    // One source per mode: an open-system arrival stream, a gang-
+    // scheduled mix, or a single workload. --seed re-randomises both
+    // the synthetic program generation and (via RunOptions::seed) the
+    // structure replacement seeds.
+    RunSource source;
     if (server) {
-        if (!workload_name.empty() || !timeshare.empty())
-            fatal("--arrivals replaces --workload/--timeshare (jobs "
-                  "come from the arrival process; shape the mix with "
-                  "--arrival-mix)");
+        source = ServerSource{arrivals, sched};
+    } else if (!timeshare.empty()) {
+        MixSource mix{{}, sched};
+        Asid asid = 1;
+        mix.jobs.push_back(harness::buildNamedWorkload(workload_name,
+                                                       opt.seed, asid++));
+        for (const std::string &name : timeshare)
+            mix.jobs.push_back(
+                harness::buildNamedWorkload(name, opt.seed, asid++));
+        source = std::move(mix);
+    } else {
+        source = harness::buildNamedWorkload(workload_name, opt.seed);
+    }
+    const bool single = std::holds_alternative<Workload>(source);
 
-        SystemConfig cfg =
-            SystemConfig::forScheme(scheme, cores ? cores : 4);
-        if (filter_size)
-            cfg.mem.mt.dataParams.sizeBytes = filter_size;
-        if (filter_assoc)
-            cfg.mem.mt.dataParams.assoc = filter_assoc;
+    // run() widens the machine to the widest job; scheduled modes
+    // default to four cores.
+    const unsigned machine_cores = single ? 1 : cores ? cores : 4;
+    RunSpec spec{SystemConfig::forScheme(scheme, machine_cores),
+                 std::move(source), opt, schemeName(scheme)};
+    if (filter_size)
+        spec.cfg.mem.mt.dataParams.sizeBytes = filter_size;
+    if (filter_assoc)
+        spec.cfg.mem.mt.dataParams.assoc = filter_assoc;
 
-        ServerRunOutput out =
-            runServerConfigured(cfg, sched, arrivals, opt,
-                                schemeName(scheme));
+    const RunOutput out = run(spec);
+    const RunResult &res = out.result;
+    if (server)
         std::printf("%s, %llu %s arrivals (mean gap %llu cycles) on "
                     "%u cores, quantum %llu:\n",
                     schemeName(scheme),
@@ -353,123 +363,51 @@ runTool(int argc, char **argv)
                         arrivals.meanInterarrival),
                     out.system->numCores(),
                     static_cast<unsigned long long>(sched.quantum));
-        out.report.print(std::cout);
-
-        const Scheduler *s = out.system->scheduler();
-        std::printf("context switches %llu, migrations %llu, idle "
-                    "slots %llu\n",
-                    static_cast<unsigned long long>(s->switches()),
-                    static_cast<unsigned long long>(s->migrations()),
-                    static_cast<unsigned long long>(s->idleSlots()));
-        if (!sched_trace_path.empty()) {
-            CheckedOfstream f(sched_trace_path, "schedule trace");
-            writeSchedTrace(*s, f.stream());
-            f.finish();
-            std::printf("schedule trace (%zu decisions) written to %s\n",
-                        s->trace().size(), sched_trace_path.c_str());
-        }
-        writeTraceOutputs(*out.system, out.statSeries.get(), trace_path,
-                          trace_csv_path, stats_out_path);
-
-        if (with_baseline && scheme != Scheme::Baseline) {
-            const ServerRunOutput base = runServerConfigured(
-                SystemConfig::forScheme(Scheme::Baseline,
-                                        cores ? cores : 4),
-                sched, arrivals, opt, schemeName(Scheme::Baseline));
-            if (base.report.sojournP95)
-                std::printf("p95 sojourn vs scheduled baseline: %.3f\n",
-                            static_cast<double>(out.report.sojournP95)
-                                / static_cast<double>(
-                                    base.report.sojournP95));
-        }
-        if (stats)
-            out.system->dumpStats(std::cout);
-        if (json)
-            dumpStatsJson(out.system->root(), std::cout);
-        return 0;
-    }
-
-    // Multiprogrammed path: gang-schedule the whole mix.
-    if (!timeshare.empty()) {
-        std::vector<Workload> mix;
-        Asid asid = 1;
-        mix.push_back(harness::buildNamedWorkload(workload_name,
-                                                  opt.seed, asid++));
-        for (const std::string &name : timeshare)
-            mix.push_back(
-                harness::buildNamedWorkload(name, opt.seed, asid++));
-
-        SystemConfig mix_cfg =
-            SystemConfig::forScheme(scheme, cores ? cores : 4);
-        if (filter_size)
-            mix_cfg.mem.mt.dataParams.sizeBytes = filter_size;
-        if (filter_assoc)
-            mix_cfg.mem.mt.dataParams.assoc = filter_assoc;
-
-        RunOutput out = runMixConfigured(mix, mix_cfg, sched, opt,
-                                         schemeName(scheme));
-        const Scheduler *s = out.system->scheduler();
+    else if (!single)
         std::printf("%s on %s (%u cores, quantum %llu): %llu cycles, "
                     "IPC %.3f\n",
-                    schemeName(scheme), out.result.workload.c_str(),
+                    schemeName(scheme), res.workload.c_str(),
                     out.system->numCores(),
                     static_cast<unsigned long long>(sched.quantum),
-                    static_cast<unsigned long long>(out.result.cycles),
-                    out.result.ipc);
+                    static_cast<unsigned long long>(res.cycles), res.ipc);
+    else
+        std::printf("%s on %s: %llu cycles, IPC %.3f\n",
+                    schemeName(scheme), res.workload.c_str(),
+                    static_cast<unsigned long long>(res.cycles), res.ipc);
+    if (server)
+        out.report.print(std::cout);
+    if (const Scheduler *s = out.system->scheduler())
         std::printf("context switches %llu, migrations %llu, idle "
                     "slots %llu\n",
                     static_cast<unsigned long long>(s->switches()),
                     static_cast<unsigned long long>(s->migrations()),
                     static_cast<unsigned long long>(s->idleSlots()));
-
-        if (!sched_trace_path.empty()) {
-            CheckedOfstream f(sched_trace_path, "schedule trace");
-            writeSchedTrace(*s, f.stream());
-            f.finish();
-            std::printf("schedule trace (%zu decisions) written to %s\n",
-                        s->trace().size(), sched_trace_path.c_str());
-        }
-        writeTraceOutputs(*out.system, out.statSeries.get(), trace_path,
-                          trace_csv_path, stats_out_path);
-
-        if (with_baseline) {
-            const RunResult base =
-                runMixScheme(mix, Scheme::Baseline,
-                             out.system->numCores(), sched, opt);
-            std::printf("normalised execution time vs scheduled "
-                        "baseline: %.3f\n",
-                        normalizedTime(out.result, base));
-        }
-        if (stats)
-            out.system->dumpStats(std::cout);
-        if (json)
-            dumpStatsJson(out.system->root(), std::cout);
-        return 0;
-    }
-
-    // --seed re-randomises both the synthetic program generation and
-    // (via RunOptions::seed) the structure replacement seeds.
-    const Workload w = harness::buildNamedWorkload(workload_name,
-                                                   opt.seed);
-    SystemConfig cfg = SystemConfig::forScheme(
-        scheme, std::max(1u, w.threads()));
-    if (filter_size)
-        cfg.mem.mt.dataParams.sizeBytes = filter_size;
-    if (filter_assoc)
-        cfg.mem.mt.dataParams.assoc = filter_assoc;
-
-    RunOutput out = runConfigured(w, cfg, opt, schemeName(scheme));
-    std::printf("%s on %s: %llu cycles, IPC %.3f\n",
-                schemeName(scheme), w.name.c_str(),
-                static_cast<unsigned long long>(out.result.cycles),
-                out.result.ipc);
     writeTraceOutputs(*out.system, out.statSeries.get(), trace_path,
                       trace_csv_path, stats_out_path);
 
-    if (with_baseline) {
-        const RunResult base = runScheme(w, Scheme::Baseline, opt);
-        std::printf("normalised execution time vs baseline: %.3f\n",
-                    normalizedTime(out.result, base));
+    // The baseline shares only the run lengths, the seed and the
+    // workload source: tracing, sampling and snapshot files belong to
+    // the main run.
+    if (with_baseline && !(server && scheme == Scheme::Baseline)) {
+        RunSpec base{SystemConfig::forScheme(Scheme::Baseline,
+                                             machine_cores),
+                     spec.source, {}, schemeName(Scheme::Baseline)};
+        base.opt.warmupInstructions = opt.warmupInstructions;
+        base.opt.measureInstructions = opt.measureInstructions;
+        base.opt.seed = opt.seed;
+        const RunOutput b = run(base);
+        if (server) {
+            if (b.report.sojournP95)
+                std::printf("p95 sojourn vs scheduled baseline: %.3f\n",
+                            static_cast<double>(out.report.sojournP95)
+                                / static_cast<double>(
+                                    b.report.sojournP95));
+        } else {
+            std::printf("normalised execution time vs %sbaseline: "
+                        "%.3f\n",
+                        single ? "" : "scheduled ",
+                        normalizedTime(res, b.result));
+        }
     }
     if (stats)
         out.system->dumpStats(std::cout);
