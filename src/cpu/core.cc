@@ -1,7 +1,6 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/log.hh"
 #include "perf/odometer.hh"
@@ -23,20 +22,6 @@ coreStatSchema()
 {
     static StatSchema s("core");
     return s;
-}
-
-/**
- * Fuzz-oracle self-test hook (tests/fuzz): with MTRAP_FUZZ_DELAY_MUTATION
- * set, the decoded path's delay-on-miss completion is perturbed by one
- * cycle so the differential fuzzer can demonstrate it would catch a
- * latency bug in that branch. Read fresh on each use — the branch is
- * cold (delay-on-miss scheme + shadowed L1 miss only) and the fuzz test
- * toggles the variable at runtime.
- */
-Cycle
-delayMutationHook()
-{
-    return std::getenv("MTRAP_FUZZ_DELAY_MUTATION") ? 1 : 0;
 }
 
 double
@@ -140,7 +125,7 @@ void
 Core::bindDecoded()
 {
     dops_ = nullptr;
-    if (!params_.decodedFetch || !ctx_.program)
+    if (!ctx_.program)
         return;
     const Program *prog = ctx_.program;
     const std::uint64_t size = prog->ops.size();
@@ -503,9 +488,8 @@ Core::writeReg(std::uint8_t r, std::uint64_t v, Cycle done, Cycle taint)
     regTaint_[r] = taint;
 }
 
-template <class Op>
 Addr
-Core::effectiveAddress(const Op &op) const
+Core::effectiveAddress(const DecodedOp &op) const
 {
     Addr a = regValue(op.base) + static_cast<Addr>(op.imm);
     if (op.index != kNoReg)
@@ -513,9 +497,8 @@ Core::effectiveAddress(const Op &op) const
     return (a & kVaMask) & ~static_cast<Addr>(7);
 }
 
-template <class Op>
 bool
-Core::evalBranch(const Op &op) const
+Core::evalBranch(const DecodedOp &op) const
 {
     const std::int64_t a = static_cast<std::int64_t>(regValue(op.src1));
     const std::int64_t b = static_cast<std::int64_t>(regValue(op.src2));
@@ -533,9 +516,8 @@ Core::evalBranch(const Op &op) const
     return true;
 }
 
-template <class Op>
 std::uint64_t
-Core::aluResult(const Op &op) const
+Core::aluResult(const DecodedOp &op) const
 {
     const std::uint64_t a = regValue(op.src1);
     const std::uint64_t b = op.src2 != kNoReg
@@ -702,6 +684,10 @@ Core::commitActions(const WinEntry &e)
 void
 Core::drain()
 {
+    // A pending misprediction is resolved first: its wrong path is
+    // squashed, never committed.
+    if (inWrongPath())
+        squash();
     while (!winEmpty())
         popHead();
     if (lastCommitC_ > fetchCycle_) {
@@ -875,10 +861,7 @@ Core::stepOne()
     }
 
     retireEligible();
-    if (dops_)
-        fetchOneDecoded();
-    else
-        fetchOne();
+    fetchOne();
     return !ctx_.halted;
 }
 
@@ -903,6 +886,12 @@ Core::fetchOne()
 {
     const Program &prog = *ctx_.program;
     if (ctx_.pc >= prog.size()) {
+        // Off the end on the wrong path: stall until the squash, like a
+        // serializing op.
+        if (inWrongPath()) {
+            squash();
+            return;
+        }
         warn("core%u: pc %llu fell off program %s; halting", id_,
              static_cast<unsigned long long>(ctx_.pc), prog.name.c_str());
         drain();
@@ -910,15 +899,14 @@ Core::fetchOne()
         return;
     }
 
-    const MicroOp &op = prog.ops[ctx_.pc];
+    const DecodedOp &op = dops_[ctx_.pc];
     const std::uint64_t pc = ctx_.pc;
 
     // Serializing ops never execute speculatively: on the wrong path
     // they stall fetch until the squash; on the correct path they drain
     // and apply their effect in program order.
-    if (op.isSerializing()) {
+    if (op.kind == OpKind::Serial) {
         if (inWrongPath()) {
-            fetchCycle_ = specStack_.front().resolveAt;
             squash();
             return;
         }
@@ -942,8 +930,9 @@ Core::fetchOne()
 
     // Structural stalls: ROB, LQ, SQ.
     while (winSize() >= params_.robSize ||
-           (op.type == OpType::Load && loadsInFlight_ >= params_.lqSize) ||
-           (op.type == OpType::Store && storesInFlight_ >= params_.sqSize)) {
+           (op.kind == OpKind::Load && loadsInFlight_ >= params_.lqSize) ||
+           (op.kind == OpKind::Store &&
+            storesInFlight_ >= params_.sqSize)) {
         if (committed.value() >= commitStop_) {
             // Making room would exceed the commit budget.
             budgetStall_ = true;
@@ -951,6 +940,13 @@ Core::fetchOne()
         }
         if (winEmpty())
             panic("core%u: structural stall with empty window", id_);
+        // Only wrong-path work is left to retire: it can never commit,
+        // so the stall lasts until the branch resolves and squashes.
+        if (inWrongPath() &&
+            winFront().seq >= specStack_.front().firstWrongSeq) {
+            squash();
+            return;
+        }
         if (fetchCycle_ < winFront().commitC) {
             fetchCycle_ = winFront().commitC;
             fetchedThisCycle_ = 0;
@@ -990,24 +986,16 @@ Core::fetchOne()
     std::uint64_t next_pc = pc + 1;
     Cycle done_c = 0;
 
-    switch (op.type) {
-      case OpType::Nop:
+    switch (op.kind) {
+      case OpKind::Nop:
         done_c = dispatch;
         break;
 
-      case OpType::IntAlu:
-      case OpType::IntMul:
-      case OpType::IntDiv:
-      case OpType::FpAlu: {
+      case OpKind::Alu: {
         const Cycle ready = std::max({dispatch, regReady(op.src1),
                                       regReady(op.src2)});
-        FuPool *units = &intUnits_;
-        if (op.type == OpType::FpAlu)
-            units = &fpUnits_;
-        else if (op.type != OpType::IntAlu)
-            units = &mulUnits_;
-        const Cycle start = fuAvailable(*units, ready);
-        done_c = start + opLatency(op.type);
+        const Cycle start = fuAvailable(*fuPools_[op.fuSel], ready);
+        done_c = start + op.latency;
         const Cycle taint =
             taintTracked_ ? std::max(regTaintClear(op.src1),
                                      regTaintClear(op.src2))
@@ -1016,8 +1004,8 @@ Core::fetchOne()
         break;
       }
 
-      case OpType::Load:
-      case OpType::Store: {
+      case OpKind::Load:
+      case OpKind::Store: {
         const Addr va = effectiveAddress(op);
         e.vaddr = va;
 
@@ -1039,7 +1027,7 @@ Core::fetchOne()
         const bool squashed_before_issue =
             inWrongPath() && issue >= specStack_.front().resolveAt;
 
-        if (op.type == OpType::Store) {
+        if (op.kind == OpKind::Store) {
             e.isStore = true;
             const Cycle data_ready = std::max(issue, regReady(op.src1));
             e.storeValue = regValue(op.src1);
@@ -1183,402 +1171,10 @@ Core::fetchOne()
         break;
       }
 
-      case OpType::Branch: {
-        const Cycle ready = std::max({dispatch, regReady(op.src1),
-                                      regReady(op.src2)});
-        const Cycle start = fuAvailable(intUnits_, ready);
-        done_c = start + 1;
-        const bool actual = evalBranch(op);
-        const std::uint64_t taken_pc =
-            static_cast<std::uint64_t>(static_cast<std::int64_t>(pc)
-                                       + op.imm);
-        if (op.cond == BranchCond::Always) {
-            next_pc = taken_pc;
-            break;
-        }
-        const bool predicted = bpred_.predictDirection(pc);
-        if (!inWrongPath())
-            bpred_.trainDirection(pc, actual);
-        if (predicted == actual || inWrongPath()) {
-            next_pc = actual ? taken_pc : pc + 1;
-            lastBranchDone_ = std::max(lastBranchDone_, done_c);
-        } else {
-            ++bpred_.mispredicts;
-            const std::uint64_t correct = actual ? taken_pc : pc + 1;
-            const std::uint64_t wrong = actual ? pc + 1 : taken_pc;
-            const Cycle resolve = done_c + params_.redirectPenalty;
-            e.commitReadyC = done_c;
-            appendEntry(e);
-            enterWrongPath(correct, resolve);
-            ctx_.pc = wrong;
-            return;
-        }
-        break;
-      }
-
-      case OpType::Jump: {
-        const Cycle ready = std::max(dispatch, regReady(op.base));
-        const Cycle start = fuAvailable(intUnits_, ready);
-        done_c = start + 1;
-        std::uint64_t actual = regValue(op.base);
-        if (actual >= prog.size())
-            actual = prog.size() - 1; // clamp wrong-path garbage
-        const Addr predicted = bpred_.predictTarget(pc);
-        if (!inWrongPath())
-            bpred_.trainTarget(pc, actual);
-        if (predicted == kAddrInvalid) {
-            // No BTB entry: the front end stalls until resolution.
-            next_pc = actual;
-            fetchCycle_ = std::max(fetchCycle_,
-                                   done_c + params_.redirectPenalty);
-            fetchedThisCycle_ = 0;
-            lastBranchDone_ = std::max(lastBranchDone_, done_c);
-        } else if (predicted == actual || inWrongPath()) {
-            next_pc = actual;
-            lastBranchDone_ = std::max(lastBranchDone_, done_c);
-        } else {
-            ++bpred_.mispredicts;
-            const Cycle resolve = done_c + params_.redirectPenalty;
-            e.commitReadyC = done_c;
-            appendEntry(e);
-            enterWrongPath(actual, resolve);
-            ctx_.pc = predicted;   // speculate down the BTB target
-            return;
-        }
-        break;
-      }
-
-      case OpType::Call: {
-        const Cycle start = fuAvailable(intUnits_, dispatch);
-        done_c = start + 1;
-        bpred_.pushReturn(pc + 1);
-        ctx_.callStack.push_back(pc + 1);
-        next_pc = static_cast<std::uint64_t>(op.imm);
-        break;
-      }
-
-      case OpType::Ret: {
-        const Cycle start = fuAvailable(intUnits_, dispatch);
-        done_c = start + 1;
-        if (ctx_.callStack.empty()) {
-            warn("core%u: return with empty call stack; halting", id_);
-            drain();
-            ctx_.halted = true;
-            return;
-        }
-        const std::uint64_t actual = ctx_.callStack.back();
-        ctx_.callStack.pop_back();
-        const Addr predicted = bpred_.popReturn();
-        if (predicted == actual || inWrongPath() ||
-            predicted == kAddrInvalid) {
-            next_pc = actual;
-            if (predicted == kAddrInvalid) {
-                fetchCycle_ = std::max(fetchCycle_,
-                                       done_c + params_.redirectPenalty);
-                fetchedThisCycle_ = 0;
-            }
-            lastBranchDone_ = std::max(lastBranchDone_, done_c);
-        } else {
-            ++bpred_.mispredicts;
-            const Cycle resolve = done_c + params_.redirectPenalty;
-            e.commitReadyC = done_c;
-            appendEntry(e);
-            enterWrongPath(actual, resolve);
-            ctx_.pc = predicted;
-            return;
-        }
-        break;
-      }
-
-      default:
-        panic("unhandled op type %s", opTypeName(op.type));
-    }
-
-    if (e.commitReadyC < done_c)
-        e.commitReadyC = done_c;
-    appendEntry(e);
-    ctx_.pc = next_pc;
-}
-
-/*
- * Decoded fetch path. This is fetchOne() re-expressed over the
- * pre-decoded stream: dispatch on OpKind instead of OpType, functional
- * unit and latency read from the DecodedOp, branch taken-targets
- * pre-resolved. Every timing computation, stat increment, predictor
- * access and memory-system call happens in the same order with the same
- * arguments as the reference path — the differential fuzzer
- * (tests/fuzz/) holds the two paths bit-identical. When changing either
- * path, change both.
- */
-void
-Core::fetchOneDecoded()
-{
-    const Program &prog = *ctx_.program;
-    if (ctx_.pc >= prog.size()) {
-        warn("core%u: pc %llu fell off program %s; halting", id_,
-             static_cast<unsigned long long>(ctx_.pc), prog.name.c_str());
-        drain();
-        ctx_.halted = true;
-        return;
-    }
-
-    const DecodedOp &op = dops_[ctx_.pc];
-    const std::uint64_t pc = ctx_.pc;
-
-    // Serializing ops never execute speculatively: on the wrong path
-    // they stall fetch until the squash; on the correct path they drain
-    // and apply their effect in program order.
-    if (op.kind == OpKind::Serial) {
-        if (inWrongPath()) {
-            fetchCycle_ = specStack_.front().resolveAt;
-            squash();
-            return;
-        }
-        // The implied drain would blow the commit budget: retire what
-        // the budget still allows and stop; a later run() fetches the
-        // op. The deferred commit actions keep their timestamps, so the
-        // simulation stream is unchanged.
-        if (committed.value() + winSize() + 1 > commitStop_) {
-            while (!winEmpty() && committed.value() < commitStop_)
-                popHead();
-            budgetStall_ = true;
-            return;
-        }
-        // Timing: the op issues after its fetch and all older work.
-        const Cycle fc = allocFetchSlot();
-        ++fetched;
-        drainAndApplySerializing(op.type, std::max(fc, lastCommitC_));
-        ctx_.pc = pc + 1;
-        return;
-    }
-
-    // Structural stalls: ROB, LQ, SQ.
-    while (winSize() >= params_.robSize ||
-           (op.kind == OpKind::Load && loadsInFlight_ >= params_.lqSize) ||
-           (op.kind == OpKind::Store &&
-            storesInFlight_ >= params_.sqSize)) {
-        if (committed.value() >= commitStop_) {
-            // Making room would exceed the commit budget.
-            budgetStall_ = true;
-            return;
-        }
-        if (winEmpty())
-            panic("core%u: structural stall with empty window", id_);
-        if (fetchCycle_ < winFront().commitC) {
-            fetchCycle_ = winFront().commitC;
-            fetchedThisCycle_ = 0;
-            // The stall may have pushed us past a pending resolve point.
-            if (inWrongPath() &&
-                fetchCycle_ >= specStack_.front().resolveAt) {
-                squash();
-                return;
-            }
-        }
-        popHead();
-    }
-
-    const Cycle fc = allocFetchSlot();
-    ++fetched;
-    if (inWrongPath())
-        ++wrongPathFetched;
-
-    // Build the entry in its ring slot (see fetchOne for the
-    // partial-reset invariant).
-    WinEntry &e = winNextSlot();
-    e.seq = nextSeq_++;
-    e.pcIndex = static_cast<std::uint32_t>(pc);
-    e.type = op.type;
-    e.commitReadyC = 0;
-    e.isLoad = false;
-    e.isStore = false;
-    e.accessedMemory = false;
-    e.tlbMiss = false;
-    e.newIfetchLine = false;
-
-    chargeIfetch(pc, e);
-
-    const Cycle dispatch = fc + params_.dispatchLatency;
-    std::uint64_t next_pc = pc + 1;
-    Cycle done_c = 0;
-
-    switch (op.kind) {
-      case OpKind::Nop:
-        done_c = dispatch;
-        break;
-
-      case OpKind::Alu: {
-        const Cycle ready = std::max({dispatch, regReady(op.src1),
-                                      regReady(op.src2)});
-        const Cycle start = fuAvailable(*fuPools_[op.fuSel], ready);
-        done_c = start + op.latency;
-        const Cycle taint =
-            taintTracked_ ? std::max(regTaintClear(op.src1),
-                                     regTaintClear(op.src2))
-                          : 0;
-        writeReg(op.dst, aluResult(op), done_c, taint);
-        break;
-      }
-
-      case OpKind::Load:
-      case OpKind::Store: {
-        const Addr va = effectiveAddress(op);
-        e.vaddr = va;
-
-        Cycle addr_ready = std::max({dispatch, regReady(op.base),
-                                     regReady(op.index)});
-        // STT: transmitters (loads/stores) with tainted address operands
-        // are delayed until the taint clears.
-        if (taintTracked_) {
-            addr_ready = std::max({addr_ready, regTaintClear(op.base),
-                                   regTaintClear(op.index)});
-        }
-        const Cycle issue = fuAvailable(memUnits_, addr_ready);
-
-        // A wrong-path memory op whose issue time falls after the
-        // mispredicted branch resolves never reaches the cache: the
-        // squash kills it first.
-        const bool squashed_before_issue =
-            inWrongPath() && issue >= specStack_.front().resolveAt;
-
-        if (op.kind == OpKind::Store) {
-            e.isStore = true;
-            const Cycle data_ready = std::max(issue, regReady(op.src1));
-            e.storeValue = regValue(op.src1);
-            bufferStore(va, e.storeValue, e.seq);
-            if (!squashed_before_issue) {
-                // Execute-time line prefetch (exclusive in baseline,
-                // shared under MuonTrap); the write happens at commit.
-                DataAccessResult r = memDataAccess(
-                    va, pc, /*is_store=*/true, /*speculative=*/true,
-                    issue);
-                e.accessedMemory = true;
-                e.tlbMiss = r.tlbMiss;
-            }
-            // Store completion does not wait for the prefetch; address +
-            // data availability retire the op.
-            done_c = data_ready + 1;
-        } else {
-            e.isLoad = true;
-            // Store-to-load forwarding.
-            if (const BufferedStore *s = findBufferedStore(va)) {
-                ++forwardedLoads;
-                done_c = issue + 1;
-                writeReg(op.dst, s->value, done_c,
-                         taintTracked_ ? regTaintClear(op.base) : 0);
-                break;
-            }
-
-            const std::uint64_t value = memRead(va);
-            Cycle done;
-            bool accessed = true;
-
-            if (squashed_before_issue) {
-                // Issues too late to beat the squash: no cache access.
-                e.accessedMemory = false;
-                done_c = specStack_.front().resolveAt;
-                writeReg(op.dst, value, done_c, 0);
-                break;
-            }
-
-            // Speculative-shadow condition: see the reference path for
-            // why inWrongPath() must be part of it.
-            const bool spec_shadow =
-                inWrongPath() || lastBranchDone_ > issue;
-            const bool is_invisispec =
-                params_.defense == CoreDefense::InvisiSpecSpectre ||
-                params_.defense == CoreDefense::InvisiSpecFuture;
-            if (is_invisispec && spec_shadow) {
-                // Speculative InvisiSpec load: non-mutating probe now,
-                // mutating exposure at the visibility point.
-                const Cycle probe_lat = memDataProbe(va, issue);
-                done = issue + probe_lat;
-                if (inWrongPath()) {
-                    // The exposure point falls after the squash: the
-                    // spec-buffer entry is dropped there and the
-                    // hierarchy is never touched.
-                    accessed = false;
-                } else {
-                    const Cycle expose_start =
-                        params_.defense == CoreDefense::InvisiSpecSpectre
-                            ? std::max(done, lastBranchDone_)
-                            : std::max(done, lastCommitC_);
-                    DataAccessResult er = memDataAccess(
-                        va, pc, false, false, expose_start);
-                    ++exposures;
-                    e.commitReadyC = expose_start + er.latency;
-                    e.tlbMiss = er.tlbMiss;
-                }
-            } else if (params_.defense == CoreDefense::DelayOnMiss &&
-                       spec_shadow && !memDataHitsPrivate(va)) {
-                // Delay-on-miss: private-hierarchy hits proceed below;
-                // a shadowed miss waits until it is non-speculative.
-                ++delayedLoads;
-                if (inWrongPath()) {
-                    // Stalls past the squash: never reaches the caches.
-                    done = specStack_.front().resolveAt;
-                    accessed = false;
-                } else {
-                    const Cycle start = std::max(issue, lastBranchDone_);
-                    DataAccessResult r = memDataAccess(
-                        va, pc, false, /*speculative=*/false, start);
-                    done = start + r.latency + delayMutationHook();
-                    e.tlbMiss = r.tlbMiss;
-                }
-            } else {
-                DataAccessResult r = memDataAccess(
-                    va, pc, false, /*speculative=*/true, issue);
-                if (r.nacked) {
-                    if (inWrongPath()) {
-                        // Never becomes non-speculative; completes only
-                        // notionally, squashed before commit.
-                        done = specStack_.front().resolveAt;
-                        accessed = false;
-                    } else {
-                        // Retry once the access is definitely going to
-                        // execute (§4.5): all older branches have
-                        // resolved by then.
-                        ++nackRetries;
-                        const Cycle retry =
-                            std::max(issue, lastBranchDone_) + 1;
-                        DataAccessResult r2 = memDataAccess(
-                            va, pc, false, /*speculative=*/false, retry);
-                        done = retry + r2.latency;
-                        e.tlbMiss = r2.tlbMiss;
-                    }
-                } else {
-                    done = issue + r.latency;
-                    e.tlbMiss = r.tlbMiss;
-                }
-            }
-            e.accessedMemory = accessed;
-            done_c = done;
-            loadLatency.sample(static_cast<double>(done_c - issue));
-            if (inWrongPath())
-                ++wrongPathLoads;
-
-            // STT taint: the loaded value is tainted until the load is
-            // no longer speculative (wrong path: the squash itself, so
-            // lower-bound at the resolve cycle).
-            Cycle taint = 0;
-            if (params_.defense == CoreDefense::SttSpectre)
-                taint = std::max({lastBranchDone_, done,
-                                  inWrongPath()
-                                      ? specStack_.front().resolveAt
-                                      : 0});
-            else if (params_.defense == CoreDefense::SttFuture)
-                taint = std::max({lastCommitC_, done,
-                                  inWrongPath()
-                                      ? specStack_.front().resolveAt
-                                      : 0});
-            writeReg(op.dst, value, done, taint);
-        }
-        break;
-      }
-
       case OpKind::BraAlways: {
-        // The reference path still reserves an ALU slot and folds the
-        // (possibly set) source registers into readiness before
-        // noticing BranchCond::Always; mirror that exactly.
+        // Like a conditional branch, an always-taken one reserves an
+        // ALU slot and folds its (possibly set) source registers into
+        // readiness; it just never consults the predictor.
         const Cycle ready = std::max({dispatch, regReady(op.src1),
                                       regReady(op.src2)});
         const Cycle start = fuAvailable(intUnits_, ready);
@@ -1658,6 +1254,11 @@ Core::fetchOneDecoded()
         const Cycle start = fuAvailable(intUnits_, dispatch);
         done_c = start + 1;
         if (ctx_.callStack.empty()) {
+            // Wrong path: stall until the squash, like a serializing op.
+            if (inWrongPath()) {
+                squash();
+                return;
+            }
             warn("core%u: return with empty call stack; halting", id_);
             drain();
             ctx_.halted = true;

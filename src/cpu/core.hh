@@ -83,14 +83,6 @@ struct CoreParams
     /** Cost added to the clock on a context switch (kernel overhead). */
     Cycle contextSwitchCost = 1000;
     CoreDefense defense = CoreDefense::None;
-    /**
-     * Fetch through the pre-decoded µop stream (isa/decoded.hh). The
-     * decoded path is a bit-identical re-expression of the reference
-     * interpreter; `false` selects the retained reference path, which
-     * exists for the differential fuzzer (tests/fuzz/) and as the
-     * semantic ground truth.
-     */
-    bool decodedFetch = true;
     BranchPredictorParams bpred;
 };
 
@@ -293,28 +285,29 @@ class Core
     };
 
     // --- pipeline helpers ------------------------------------------------
-    /** Reference interpreter fetch path (ground truth, MicroOp-driven). */
+    /** Fetch-execute one op: per-kind dispatch over the DecodedOp
+     *  stream. The functional ISA oracle (tests/fuzz/) checks that only
+     *  correct-path work reaches architectural state. */
     void fetchOne();
-    /** Decoded fetch path: per-kind dispatch over the DecodedOp stream.
-     *  Must stay timing- and stat-identical to fetchOne — the
-     *  differential fuzzer (tests/fuzz/) enforces it. */
-    void fetchOneDecoded();
     Cycle allocFetchSlot();
     Cycle fuAvailable(FuPool &units, Cycle ready);
     Cycle regReady(std::uint8_t r) const;
     Cycle regTaintClear(std::uint8_t r) const;
     std::uint64_t regValue(std::uint8_t r) const;
     void writeReg(std::uint8_t r, std::uint64_t v, Cycle done, Cycle taint);
-    /** Functional helpers shared by both fetch paths: MicroOp and
-     *  DecodedOp expose the same operand field names. */
-    template <class Op> Addr effectiveAddress(const Op &op) const;
-    template <class Op> bool evalBranch(const Op &op) const;
-    template <class Op> std::uint64_t aluResult(const Op &op) const;
+    /** Functional semantics of one op over the current register file. */
+    Addr effectiveAddress(const DecodedOp &op) const;
+    bool evalBranch(const DecodedOp &op) const;
+    std::uint64_t aluResult(const DecodedOp &op) const;
 
     void appendEntry(WinEntry &e) __attribute__((always_inline));
     void popHead();
     void retireEligible();
     void commitActions(const WinEntry &e);
+    /** Discard the wrong path and restore the oldest checkpoint; the
+     *  fetch clock moves up to the branch's resolve point. Every
+     *  wrong-path stall (serializing op, full window, ret with an empty
+     *  call stack, pc off the end) ends here. */
     void squash();
     void enterWrongPath(std::uint64_t correct_pc, Cycle resolve_at);
     void drainAndApplySerializing(OpType type, Cycle done_c);
@@ -331,7 +324,7 @@ class Core
     void chargeIfetchNewLine(Addr va, WinEntry &e);
 
     /** Bind ctx_.program's decoded stream (decoding and caching it on
-     *  first sight) or clear it on the reference path. */
+     *  first sight), or clear it when no program is installed. */
     void bindDecoded();
 
     /**
@@ -383,8 +376,8 @@ class Core
     Addr lastIfetchLine_ = kAddrInvalid;
 
     /**
-     * Decoded stream of the installed program (null on the reference
-     * path). Points into decodeCache_'s owned DecodedPrograms; the
+     * Decoded stream of the installed program (null while none is
+     * installed). Points into decodeCache_'s owned DecodedPrograms; the
      * inner vectors' heap storage is stable across cache growth.
      */
     const DecodedOp *dops_ = nullptr;

@@ -61,7 +61,7 @@ decodeProgram(const Program &prog)
         switch (o.kind) {
           case OpKind::BraAlways:
           case OpKind::BraCond:
-            // Same arithmetic as the reference path's taken_pc; stored
+            // Relative displacement resolved to the taken PC; stored
             // over the now-consumed displacement.
             o.imm = static_cast<std::int64_t>(pc) + op.imm;
             break;

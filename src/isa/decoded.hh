@@ -22,10 +22,10 @@
  *  - operand indices, immediate, and addressing fields are copied so
  *    the hot loop touches exactly one cache line stream.
  *
- * The decoded path is a pure re-expression of Core::fetchOne: it must
- * produce bit-identical timing and statistics. tests/fuzz/ holds the
- * differential fuzzer that enforces this against the retained reference
- * interpreter (CoreParams::decodedFetch = false).
+ * Core::fetchOne dispatches over this stream; it is the core's only
+ * fetch path. tests/fuzz/ checks its architectural results against a
+ * test-local functional ISA oracle written from isa/microop.hh, and
+ * DecodeTest there pins the lowering itself.
  */
 
 #ifndef MTRAP_ISA_DECODED_HH
@@ -38,7 +38,7 @@
 namespace mtrap
 {
 
-/** Dispatch class of one decoded op — the cases Core::fetchOneDecoded
+/** Dispatch class of one decoded op — the cases Core::fetchOne
  *  switches over. Values are dense so the compiler emits a jump table. */
 enum class OpKind : std::uint8_t
 {

@@ -55,8 +55,8 @@ enum class AluOp : std::uint8_t
     Add, Sub, And, Or, Xor, Shl, Shr, Mov, MovImm, Mul, Div,
 };
 
-/** Branch condition: compare r[src1] against r[src2] (or imm if src2 is
- *  kNoReg). */
+/** Branch condition: compare r[src1] against r[src2] (an unused
+ *  operand, kNoReg, reads as 0). */
 enum class BranchCond : std::uint8_t
 {
     Eq, Ne, Lt, Ge, Ult, Uge, Always,
@@ -82,7 +82,8 @@ struct MicroOp
      *  call target. */
     std::int64_t imm = 0;
 
-    /** Memory addressing: vaddr = r[base] + imm + (r[index] << scale). */
+    /** Memory addressing: vaddr = r[base] + imm + (r[index] << scale),
+     *  masked to the 44-bit VA space and aligned down to 8 bytes. */
     std::uint8_t base = kNoReg;
     std::uint8_t index = kNoReg;
     std::uint8_t scale = 0;

@@ -271,7 +271,6 @@ System::configFingerprint() const
     fp.mix(cp.redirectPenalty);
     fp.mix(cp.contextSwitchCost);
     fp.mix(static_cast<std::uint64_t>(cp.defense));
-    fp.mix(cp.decodedFetch ? 1 : 0);
     fp.mix(cp.bpred.localEntries);
     fp.mix(cp.bpred.localHistoryBits);
     fp.mix(cp.bpred.globalEntries);

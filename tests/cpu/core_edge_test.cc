@@ -2,8 +2,8 @@
  * @file
  * Edge-case tests for the out-of-order core: deep call stacks and RAS
  * overflow, BTB-miss stalls, nested wrong paths, store-buffer chains,
- * address masking, context save/restore round trips, and structural
- * limit stress.
+ * address masking, context save/restore round trips, structural
+ * limit stress, and wrong-path work that must never commit.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cpu/core.hh"
+#include "sim/system.hh"
 
 namespace mtrap
 {
@@ -272,6 +273,136 @@ TEST(CoreEdge, HaltOnWrongPathDoesNotTerminate)
     rig.mem.write(1, 0x3000, 0);
     rig.runToHalt(p);
     EXPECT_EQ(rig.core->reg(4), 20u);
+}
+
+TEST(CoreEdge, WrongPathRetWithEmptyStackDoesNotHalt)
+{
+    // The cold predictor falls through into a ret with an empty call
+    // stack; that ret is wrong path, so it must stall to the squash, not
+    // halt the program.
+    Rig rig;
+    ProgramBuilder b("wpret");
+    b.movi(1, 0);
+    b.movi(2, 1);
+    b.movi(3, 0);
+    b.braLt("skip", 1, 2);     // actual: taken
+    b.ret();
+    b.label("skip");
+    for (int i = 0; i < 20; ++i)
+        b.addi(3, 3, 1);
+    b.halt();
+    rig.runToHalt(b.take());
+    EXPECT_EQ(rig.core->reg(3), 20u);
+    EXPECT_EQ(rig.core->committedCount(), 25u);
+}
+
+TEST(CoreEdge, WrongPathFallOffEndDoesNotHalt)
+{
+    // The last op is an always-taken branch back to a halt; the cold
+    // predictor falls through past the end of the program. Only the
+    // correct-path halt may stop it.
+    Rig rig;
+    ProgramBuilder b("wpend");
+    b.movi(1, 0);
+    b.movi(2, 1);
+    b.movi(3, 0);
+    b.bra("body");
+    b.label("tail");
+    b.halt();
+    b.label("body");
+    for (int i = 0; i < 20; ++i)
+        b.addi(3, 3, 1);
+    b.braLt("tail", 1, 2);     // actual: taken; the fall-through is off
+                               // the end of the program
+    rig.runToHalt(b.take());
+    EXPECT_EQ(rig.core->reg(3), 20u);
+    EXPECT_EQ(rig.core->committedCount(), 26u);
+}
+
+/** r13 = 0, produced by a chain of 11 dependent divides: a branch on it
+ *  resolves well over a hundred cycles after it is fetched. */
+void
+emitSlowZero(ProgramBuilder &b)
+{
+    b.div(3, 1, 2);
+    for (int i = 0; i < 10; ++i)
+        b.div(3, 3, 2);
+    b.andi(13, 3, 0);
+}
+
+TEST(CoreEdge, StructuralStallNeverCommitsWrongPath)
+{
+    // Five iterations train the loop-exit branch not-taken; on the sixth
+    // it is taken but resolves late, and the wrong path (a store plus 300
+    // ALU ops) fills the ROB. Making room for it must squash, not commit:
+    // the wrong-path store of 5 must never reach memory.
+    constexpr Addr kX = 0x10000;
+    ProgramBuilder b("robstall");
+    b.movi(1, 1'000'000);
+    b.movi(2, 3);
+    b.movi(5, 0);
+    b.movi(11, 5);
+    b.movi(7, static_cast<std::int64_t>(kX));
+    b.label("top");
+    emitSlowZero(b);
+    b.add(13, 13, 5);
+    b.braGe("last", 13, 11);
+    b.store(5, 7, 0);
+    for (int i = 0; i < 300; ++i)
+        b.addi(10, 10, 1);
+    b.addi(5, 5, 1);
+    b.bra("top");
+    b.label("last");
+    b.halt();
+    const Program p = b.take();
+
+    for (const Scheme s :
+         {Scheme::Baseline, Scheme::MuonTrap, Scheme::SttSpectre}) {
+        System sys(SystemConfig::forScheme(s, 1));
+        ArchContext ctx;
+        ctx.program = &p;
+        ctx.asid = 1;
+        sys.core(0).setContext(ctx);
+        sys.core(0).run(1'000'000);
+        ASSERT_TRUE(sys.core(0).halted()) << schemeName(s);
+        EXPECT_EQ(sys.mem().read(1, kX), 4u) << schemeName(s);
+        // 5 setup + 5 x 317 loop ops + 14 on the exit pass + halt.
+        EXPECT_EQ(sys.core(0).committedCount(), 1605u) << schemeName(s);
+    }
+}
+
+TEST(CoreEdge, SaveContextSquashesInFlightWrongPath)
+{
+    // Descheduling a task mid-misprediction must save its correct-path
+    // state: the drain squashes the wrong path instead of committing it.
+    constexpr Addr kX = 0x10000;
+    ProgramBuilder b("wpdrain");
+    b.movi(1, 1'000'000);
+    b.movi(2, 3);
+    b.movi(5, 7);
+    b.movi(7, static_cast<std::int64_t>(kX));
+    emitSlowZero(b);
+    b.braEq("done", 13, 13);   // actual: taken; cold predictor falls through
+    b.store(5, 7, 0);
+    b.movi(6, 99);
+    for (int i = 0; i < 300; ++i)
+        b.addi(10, 10, 1);
+    b.label("done");
+    b.halt();
+    const Program p = b.take();
+
+    System sys(SystemConfig::forScheme(Scheme::Baseline, 1));
+    const std::uint64_t before = sys.mem().read(1, kX);
+    ArchContext ctx;
+    ctx.program = &p;
+    ctx.asid = 1;
+    sys.core(0).setContext(ctx);
+    sys.core(0).run(5);
+    const ArchContext saved = sys.core(0).saveContext();
+    EXPECT_EQ(saved.pc, b.labelIndex("done"));
+    EXPECT_EQ(saved.regs[6], 0u);
+    EXPECT_EQ(sys.core(0).committedCount(), 17u);
+    EXPECT_EQ(sys.mem().read(1, kX), before);
 }
 
 } // namespace

@@ -29,6 +29,7 @@ class FakeMem : public MemIface
         Addr vaddr;
         bool isStore;
         bool speculative;
+        Cycle when;
     };
     std::vector<Rec> accesses;
     std::vector<Addr> commits;
@@ -41,12 +42,14 @@ class FakeMem : public MemIface
     bool nackFirstAccessTo = false;
     Addr nackTarget = kAddrInvalid;
     unsigned nacksIssued = 0;
+    /** Answer for dataHitsPrivate (drives delay-on-miss). */
+    bool privateHits = true;
 
     DataAccessResult
     dataAccess(CoreId, Asid, Addr vaddr, Addr, bool is_store,
-               bool speculative, Cycle) override
+               bool speculative, Cycle when) override
     {
-        accesses.push_back({vaddr, is_store, speculative});
+        accesses.push_back({vaddr, is_store, speculative, when});
         DataAccessResult r;
         r.latency = fixedLatency;
         if (nackFirstAccessTo && vaddr == nackTarget && speculative) {
@@ -57,6 +60,7 @@ class FakeMem : public MemIface
     }
 
     Cycle dataProbe(CoreId, Asid, Addr, Cycle) override { return 5; }
+    bool dataHitsPrivate(CoreId, Asid, Addr) override { return privateHits; }
 
     Cycle
     ifetchAccess(CoreId, Asid, Addr vaddr, Cycle) override
@@ -501,6 +505,50 @@ TEST(CoreSerial, ContextSwitchNotifiesAndCharges)
         << "context switches must charge kernel overhead";
     rig.core->run(1'000'000);
     EXPECT_TRUE(rig.core->halted());
+}
+
+// --- delay-on-miss ---------------------------------------------------------------
+
+TEST(CoreDelayOnMiss, ShadowedMissWaitsForOlderBranchThenPaysLatency)
+{
+    // A correct-path load that misses the private hierarchy behind a
+    // slow (correctly predicted) branch: delay-on-miss holds it until
+    // the branch completes and then issues it non-speculatively; without
+    // the defence it goes out speculatively at issue. Either way the
+    // halt behind it commits exactly latency + 1 + the halt's own
+    // latency after the access, which pins the delayed leg's timing.
+    constexpr Cycle kLat = 300;
+    Cycle undelayed_when = 0;
+    for (const CoreDefense d :
+         {CoreDefense::None, CoreDefense::DelayOnMiss}) {
+        CoreRig rig(d);
+        rig.mem.fixedLatency = kLat;
+        rig.mem.privateHits = false;
+        ProgramBuilder b("dom");
+        b.movi(1, 1'000'000);
+        b.movi(2, 3);
+        b.movi(7, 0x1000);
+        b.div(3, 1, 2);
+        for (int i = 0; i < 10; ++i)
+            b.div(3, 3, 2);
+        b.braNe("skip", 3, 3);     // never taken; resolves ~130 cycles on
+        b.load(4, 7, 0);
+        b.label("skip");
+        b.halt();
+        rig.runProgram(b.take());
+
+        const bool delayed = d == CoreDefense::DelayOnMiss;
+        ASSERT_EQ(rig.mem.accesses.size(), 1u);
+        const FakeMem::Rec &a = rig.mem.accesses[0];
+        EXPECT_EQ(a.speculative, !delayed);
+        EXPECT_EQ(rig.core->delayedLoads.value(), delayed ? 1u : 0u);
+        EXPECT_EQ(rig.core->lastCommitCycle(),
+                  a.when + kLat + 1 + opLatency(OpType::Halt));
+        if (delayed)
+            EXPECT_GT(a.when, undelayed_when + 100);
+        else
+            undelayed_when = a.when;
+    }
 }
 
 // --- NACK retry ------------------------------------------------------------------

@@ -1,44 +1,51 @@
 /**
  * @file
- * Differential fuzzer for the pre-decoded fetch path.
+ * Functional ISA oracle for the out-of-order core.
  *
- * The decoded fetch path (Core::fetchOneDecoded over isa/decoded.hh) is
- * required to be a *bit-identical* re-expression of the retained
- * reference interpreter (Core::fetchOne). This fuzzer generates seeded
- * random programs exercising every op type — ALU (add/sub/mul/div/fp,
- * immediates, shifts), loads and stores with indexed addressing,
- * conditional branches over every condition, BTB-predicted indirect
- * jumps with data-dependent targets, call/ret pairs, and the
- * serializing protection-domain ops — then runs each program twice on
- * otherwise-identical systems (CoreParams::decodedFetch on/off) and
- * asserts that:
+ * MuonTrap's claim is that speculative work changes no architectural
+ * state until it commits: a defence may change timing, never results.
+ * This fuzzer checks that directly. It generates seeded random programs
+ * exercising every op type — ALU (add/sub/mul/div/fp, immediates,
+ * shifts), loads and stores with indexed addressing, conditional
+ * branches over every condition, BTB-predicted indirect jumps with
+ * data-dependent targets, call/ret pairs, and the serializing
+ * protection-domain ops — runs each on a full System under every scheme
+ * in allSchemes(), and steps a test-local functional interpreter
+ * (IsaOracle) alongside. The interpreter is written from the
+ * isa/microop.hh semantics and has no timing model, so it cannot share
+ * a bug with the core's fetch path.
  *
- *  - the commit stream matches: a trajectory hash folded over
- *    (committed count, last commit cycle, pc, register file) at fixed
- *    commit-chunk boundaries,
- *  - the final statistics dump is byte-identical (every counter in the
- *    whole system tree: core, bpred, caches, TLBs, filters, bus, DRAM),
- *  - final architectural state (registers, halted, pc) and the
- *    program's reachable memory image match.
+ * After every 500-commit chunk the machine is drained
+ * (System::drainAll, the context-switch path) and each core's
+ * registers, pc, call stack, halt flag and commit count must equal the
+ * interpreter's after the same number of commits. At the end the
+ * program's reachable data region must match the interpreter's memory
+ * image word for word. Every scheme matching the interpreter implies
+ * every scheme matching every other, so there is no cross-scheme
+ * comparison.
  *
- * Runs across the five protected schemes of figures 3/4 plus the
- * unprotected baseline, on 1-, 2- and 4-core systems with loads/stores
- * spread across distinct ASIDs (and one shared-ASID coherence
- * configuration).
+ * The oracle checks architectural results only: a pure latency bug (one
+ * that changes when something commits but not what) is caught by the
+ * golden stat tables in tests/golden and the directed timing tests in
+ * tests/cpu, not here.
+ *
+ * Runs on 1-, 2- and 4-core systems; multi-core runs alternate private
+ * ASIDs with one shared ASID. Core c's data accesses use its own 8-byte
+ * lane of every line ([r28 + 8*c + (r21 << log2(cores))]), so lines are
+ * still shared — coherence traffic stays — while results are race-free.
  *
  * Program count per (scheme, cores) configuration defaults to a
  * CI-sized batch; set MTRAP_FUZZ_PROGRAMS to scale it (the
  * mtrap_fuzz_long ctest entry, gated behind -DMTRAP_LONG_FUZZ=ON, runs
- * 1000 per scheme).
+ * 1000 per scheme) and MTRAP_FUZZ_SEED to draw a different population.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,7 +53,6 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "isa/decoded.hh"
-#include "sim/json_stats.hh"
 #include "sim/system.hh"
 
 namespace mtrap
@@ -56,6 +62,9 @@ namespace
 
 constexpr Addr kDataBase = 0x90'0000'0000ull;
 constexpr std::int64_t kDataMask = 32 * 1024 - 8;
+/** Half the accesses stay inside 32 hot words, so loads often hit
+ *  in-flight and wrong-path stores (forwarding, squash isolation). */
+constexpr std::int64_t kHotMask = 256 - 8;
 
 /** Number of fuzz programs per (scheme, cores) configuration. */
 unsigned
@@ -80,18 +89,36 @@ seedSalt()
     return 0;
 }
 
+/** log2 of the lane count that gives each of `cores` cores a lane. */
+unsigned
+lanesLog2(unsigned cores)
+{
+    unsigned l = 0;
+    while ((1u << l) < cores)
+        ++l;
+    return l;
+}
+
 /**
  * Generate one seeded random program. Structure: a counted loop whose
  * body is a random mix over every op class, with matched call/ret
- * subroutines placed after the halt and all memory accesses masked into
- * a private 32 KiB region.
+ * subroutines placed after the halt. Every data access is
+ * [r28 + 8*lane + (r21 << (lanes_log2 + scale))] with r21 masked into a
+ * word-aligned window of 32 KiB or of 32 hot words, so programs given
+ * distinct lanes of the same 2^lanes_log2 never touch each other's
+ * words.
  */
 Program
-fuzzProgram(std::uint64_t seed, unsigned body_ops, unsigned iterations)
+fuzzProgram(std::uint64_t seed, unsigned body_ops, unsigned iterations,
+            unsigned lane = 0, unsigned lanes_log2 = 0)
 {
     Rng rng(seed);
     ProgramBuilder b(strfmt("fuzz%llu",
                             static_cast<unsigned long long>(seed)));
+    const std::int64_t lane_off = 8 * static_cast<std::int64_t>(lane);
+    const auto mask = [&rng] {
+        return rng.below(2) ? kDataMask : kHotMask;
+    };
 
     // r1..r20 general data, r26 counter, r27 limit, r28 data base,
     // r29 address mask, r30 jump scratch, r21 address scratch.
@@ -134,13 +161,14 @@ fuzzProgram(std::uint64_t seed, unsigned body_ops, unsigned iterations)
             }
             break;
           case 6: { // load, indexed addressing
-            b.andi(21, s1, kDataMask);
-            b.load(d, 28, 0, 21, static_cast<unsigned>(rng.below(2)));
+            b.andi(21, s1, mask());
+            b.load(d, 28, lane_off, 21,
+                   lanes_log2 + static_cast<unsigned>(rng.below(2)));
             break;
           }
           case 7: { // store
-            b.andi(21, s2, kDataMask);
-            b.store(s1, 28, 0, 21, 0);
+            b.andi(21, s2, mask());
+            b.store(s1, 28, lane_off, 21, lanes_log2);
             break;
           }
           case 8: { // conditional branch over one or two ops
@@ -202,8 +230,8 @@ fuzzProgram(std::uint64_t seed, unsigned body_ops, unsigned iterations)
         const unsigned d = 1 + static_cast<unsigned>(rng.below(20));
         b.addi(d, d, static_cast<std::int64_t>(rng.below(64)));
         if (rng.below(2)) {
-            b.andi(21, d, kDataMask);
-            b.load(d, 28, 0, 21, 0);
+            b.andi(21, d, mask());
+            b.load(d, 28, lane_off, 21, lanes_log2);
         }
         b.ret();
     }
@@ -216,172 +244,288 @@ fuzzProgram(std::uint64_t seed, unsigned body_ops, unsigned iterations)
     return p;
 }
 
-/** Everything one differential run produces. */
-struct FuzzResult
+/**
+ * Functional interpreter of one program: the architectural semantics of
+ * isa/microop.hh, one op per step, no timing. Stores go to a sparse
+ * overlay; untouched words read through a pristine System's functional
+ * memory, which is a pure function of (asid, vaddr).
+ */
+class IsaOracle
 {
-    std::uint64_t trajectory = 0;
-    /** Trajectory hash after each commit chunk — pinpoints the first
-     *  divergent chunk for the snapshot repro hook. */
-    std::vector<std::uint64_t> chunkTrajectory;
-    std::string statsJson;
-    std::vector<std::array<std::uint64_t, kNumRegs>> regs;
-    std::vector<bool> halted;
-    std::uint64_t memFingerprint = 0;
+  public:
+    IsaOracle(const Program &prog, Asid asid, System &pristine)
+        : prog_(prog), asid_(asid), pristine_(pristine), pc_(prog.entry)
+    {
+    }
+
+    Asid asid() const { return asid_; }
+    std::uint64_t pc() const { return pc_; }
+    bool halted() const { return halted_; }
+    std::uint64_t committed() const { return committed_; }
+    std::uint64_t reg(unsigned r) const { return regs_[r]; }
+    const std::vector<std::uint64_t> &callStack() const { return stack_; }
+    const std::map<Addr, std::uint64_t> &stores() const { return stores_; }
+
+    /** Architectural value of the data word at `va`. */
+    std::uint64_t
+    load(Addr va) const
+    {
+        const auto it = stores_.find(va);
+        return it != stores_.end() ? it->second
+                                   : pristine_.mem().read(asid_, va);
+    }
+
+    /** Step until `commits` ops have committed or the program halts. */
+    void
+    stepTo(std::uint64_t commits)
+    {
+        while (!halted_ && committed_ < commits)
+            step();
+    }
+
+  private:
+    /** An unused operand (kNoReg) reads as zero. */
+    std::uint64_t
+    src(std::uint8_t r) const
+    {
+        return r == kNoReg ? 0 : regs_[r];
+    }
+
+    void
+    setDst(std::uint8_t r, std::uint64_t v)
+    {
+        if (r != kNoReg)
+            regs_[r] = v;
+    }
+
+    /** r[base] + imm + (r[index] << scale), in the 44-bit VA space and
+     *  aligned down to its 8-byte word. */
+    Addr
+    address(const MicroOp &op) const
+    {
+        const Addr a = src(op.base) + static_cast<Addr>(op.imm) +
+                       (src(op.index) << op.scale);
+        return a & ((Addr{1} << 44) - 1) & ~Addr{7};
+    }
+
+    std::uint64_t
+    alu(const MicroOp &op) const
+    {
+        const std::uint64_t a = src(op.src1);
+        const std::uint64_t b = op.src2 != kNoReg
+                                    ? regs_[op.src2]
+                                    : static_cast<std::uint64_t>(op.imm);
+        switch (op.alu) {
+          case AluOp::Add: return a + b;
+          case AluOp::Sub: return a - b;
+          case AluOp::And: return a & b;
+          case AluOp::Or: return a | b;
+          case AluOp::Xor: return a ^ b;
+          case AluOp::Shl: return a << (b & 63);
+          case AluOp::Shr: return a >> (b & 63);
+          case AluOp::Mov: return a;
+          case AluOp::MovImm: return static_cast<std::uint64_t>(op.imm);
+          case AluOp::Mul: return a * b;
+          case AluOp::Div: return b ? a / b : a;
+        }
+        ADD_FAILURE() << "unknown AluOp";
+        return 0;
+    }
+
+    bool
+    taken(const MicroOp &op) const
+    {
+        const std::uint64_t a = src(op.src1);
+        const std::uint64_t b = src(op.src2);
+        const auto sa = static_cast<std::int64_t>(a);
+        const auto sb = static_cast<std::int64_t>(b);
+        switch (op.cond) {
+          case BranchCond::Eq: return a == b;
+          case BranchCond::Ne: return a != b;
+          case BranchCond::Lt: return sa < sb;
+          case BranchCond::Ge: return sa >= sb;
+          case BranchCond::Ult: return a < b;
+          case BranchCond::Uge: return a >= b;
+          case BranchCond::Always: return true;
+        }
+        ADD_FAILURE() << "unknown BranchCond";
+        return false;
+    }
+
+    void
+    step()
+    {
+        // Falling off the end halts without committing anything.
+        if (pc_ >= prog_.size()) {
+            halted_ = true;
+            return;
+        }
+        const MicroOp &op = prog_.ops[pc_];
+        std::uint64_t next = pc_ + 1;
+        switch (op.type) {
+          case OpType::IntAlu:
+          case OpType::IntMul:
+          case OpType::IntDiv:
+          case OpType::FpAlu:
+            setDst(op.dst, alu(op));
+            break;
+          case OpType::Load:
+            setDst(op.dst, load(address(op)));
+            break;
+          case OpType::Store:
+            stores_[address(op)] = src(op.src1);
+            break;
+          case OpType::Branch:
+            if (taken(op))
+                next = static_cast<std::uint64_t>(
+                    static_cast<std::int64_t>(pc_) + op.imm);
+            break;
+          case OpType::Jump:
+            // Out-of-range targets clamp to the last op.
+            next = std::min<std::uint64_t>(src(op.base), prog_.size() - 1);
+            break;
+          case OpType::Call:
+            stack_.push_back(pc_ + 1);
+            next = static_cast<std::uint64_t>(op.imm);
+            break;
+          case OpType::Ret:
+            // Returning with an empty call stack halts without
+            // committing the ret.
+            if (stack_.empty()) {
+                halted_ = true;
+                return;
+            }
+            next = stack_.back();
+            stack_.pop_back();
+            break;
+          case OpType::Halt:
+            halted_ = true;
+            break;
+          case OpType::Nop:
+          case OpType::Syscall:
+          case OpType::SandboxEnter:
+          case OpType::SandboxExit:
+          case OpType::FlushBarrier:
+            break;
+        }
+        pc_ = next;
+        ++committed_;
+    }
+
+    const Program &prog_;
+    Asid asid_;
+    System &pristine_;
+    std::array<std::uint64_t, kNumRegs> regs_{};
+    std::vector<std::uint64_t> stack_;
+    std::map<Addr, std::uint64_t> stores_;
+    std::uint64_t pc_ = 0;
+    std::uint64_t committed_ = 0;
+    bool halted_ = false;
 };
 
-std::uint64_t
-fnv(std::uint64_t h, std::uint64_t v)
+/** First architectural difference between a drained core and the
+ *  oracle stepped to the core's commit count ("" when they agree). */
+std::string
+archMismatch(Core &core, IsaOracle &oracle)
 {
-    return (h ^ v) * 1099511628211ull;
+    const std::uint64_t n = core.committedCount();
+    oracle.stepTo(n);
+    if (oracle.committed() != n)
+        return strfmt("committed %llu, oracle halted after %llu",
+                      static_cast<unsigned long long>(n),
+                      static_cast<unsigned long long>(oracle.committed()));
+    if (core.halted() != oracle.halted())
+        return strfmt("halted=%d, oracle halted=%d", core.halted(),
+                      oracle.halted());
+    const ArchContext ctx = core.saveContext();
+    if (ctx.pc != oracle.pc())
+        return strfmt("pc %llu, oracle pc %llu",
+                      static_cast<unsigned long long>(ctx.pc),
+                      static_cast<unsigned long long>(oracle.pc()));
+    for (unsigned i = 0; i < kNumRegs; ++i) {
+        if (ctx.regs[i] != oracle.reg(i))
+            return strfmt("r%u = %llu, oracle %llu", i,
+                          static_cast<unsigned long long>(ctx.regs[i]),
+                          static_cast<unsigned long long>(oracle.reg(i)));
+    }
+    if (ctx.callStack != oracle.callStack())
+        return "call stack differs";
+    return "";
 }
 
 /**
- * Run one program per core (distinct or shared asids) and capture the
- * trajectory + final state. `decoded` selects the fetch path.
+ * Run one program per core (private or shared ASIDs) in 500-commit
+ * chunks, draining and checking every core against its oracle after
+ * each chunk, then check the data region's memory image. Returns the
+ * first mismatch, or "" when the run is architecturally exact.
  */
-FuzzResult
-runFuzz(const std::vector<Program> &progs, Scheme scheme, bool decoded,
-        bool shared_asid)
+std::string
+runAgainstOracle(const std::vector<Program> &progs, Scheme scheme,
+                 bool shared_asid)
 {
     const unsigned cores = static_cast<unsigned>(progs.size());
-    SystemConfig cfg = SystemConfig::forScheme(scheme, cores);
-    cfg.core.decodedFetch = decoded;
+    const SystemConfig cfg = SystemConfig::forScheme(scheme, cores);
     System sys(cfg);
+    System pristine(cfg);
 
+    std::vector<IsaOracle> oracles;
     for (unsigned c = 0; c < cores; ++c) {
         ArchContext ctx;
         ctx.program = &progs[c];
         ctx.asid = shared_asid ? 1 : static_cast<Asid>(c + 1);
+        ctx.pc = progs[c].entry;
         sys.core(c).setContext(ctx);
+        oracles.emplace_back(progs[c], ctx.asid, pristine);
     }
 
-    FuzzResult r;
-    // Chunked run: fold the commit stream into the trajectory hash at
-    // fixed commit boundaries so transient divergence cannot cancel out
-    // by the end of the run.
     for (unsigned chunk = 0; chunk < 64; ++chunk) {
         sys.run(500);
+        sys.drainAll();
         bool all_halted = true;
         for (unsigned c = 0; c < cores; ++c) {
-            Core &core = sys.core(c);
-            r.trajectory = fnv(r.trajectory, core.committedCount());
-            r.trajectory = fnv(r.trajectory, core.lastCommitCycle());
-            for (unsigned i = 0; i < kNumRegs; ++i)
-                r.trajectory = fnv(r.trajectory, core.reg(i));
-            all_halted = all_halted && core.halted();
+            const std::string m = archMismatch(sys.core(c), oracles[c]);
+            if (!m.empty())
+                return strfmt("core%u after chunk %u: %s", c, chunk,
+                              m.c_str());
+            all_halted = all_halted && sys.core(c).halted();
         }
-        r.chunkTrajectory.push_back(r.trajectory);
         if (all_halted)
             break;
     }
-    sys.drainAll();
 
+    // Memory image over every word the programs can reach: the 32 KiB
+    // index window, shifted by the lane spacing and the largest scale.
+    const Addr span =
+        (static_cast<Addr>(kDataMask) << (lanesLog2(cores) + 1)) + 8 * cores;
     for (unsigned c = 0; c < cores; ++c) {
-        std::array<std::uint64_t, kNumRegs> regs{};
-        for (unsigned i = 0; i < kNumRegs; ++i)
-            regs[i] = sys.core(c).reg(i);
-        r.regs.push_back(regs);
-        r.halted.push_back(sys.core(c).halted());
-    }
-
-    // Memory image over every (asid, region) the programs can touch.
-    for (unsigned c = 0; c < cores; ++c) {
-        const Asid asid = shared_asid ? 1 : static_cast<Asid>(c + 1);
-        for (Addr a = kDataBase; a <= kDataBase + kDataMask; a += 8)
-            r.memFingerprint =
-                fnv(r.memFingerprint, sys.mem().read(asid, a));
+        const Asid asid = oracles[c].asid();
+        for (Addr a = kDataBase; a < kDataBase + span; a += 8) {
+            // Shared-ASID lanes are disjoint: at most one oracle wrote
+            // the word.
+            std::uint64_t want = pristine.mem().read(asid, a);
+            for (const IsaOracle &o : oracles) {
+                const auto it = o.stores().find(a);
+                if (o.asid() == asid && it != o.stores().end())
+                    want = it->second;
+            }
+            const std::uint64_t got = sys.mem().read(asid, a);
+            if (got != want)
+                return strfmt("asid %u word %#llx = %llu, oracle %llu",
+                              asid, static_cast<unsigned long long>(a),
+                              static_cast<unsigned long long>(got),
+                              static_cast<unsigned long long>(want));
+        }
         if (shared_asid)
             break;
     }
-
-    std::ostringstream os;
-    dumpStatsJson(sys.root(), os);
-    r.statsJson = os.str();
-    return r;
-}
-
-/** The schemes the fuzzer locks down (figures 3/4 five + baseline +
- *  the delay-on-miss security baseline). */
-const std::vector<Scheme> &
-fuzzSchemes()
-{
-    static const std::vector<Scheme> s = {
-        Scheme::Baseline,         Scheme::MuonTrap,
-        Scheme::InvisiSpecSpectre, Scheme::InvisiSpecFuture,
-        Scheme::SttSpectre,        Scheme::SttFuture,
-        Scheme::DelayOnMiss,
-    };
-    return s;
+    return "";
 }
 
 /**
- * Divergence repro hook: when MTRAP_FUZZ_SNAPSHOT_DIR is set and the
- * two fetch paths' commit streams diverge, re-run both configurations
- * to the last chunk boundary on which they still agreed and drop a
- * snapshot of each machine there. Loading those snapshots (same
- * config, same setContext replay) puts a debugger one 500-commit
- * chunk away from the divergence instead of a whole run away.
+ * The fixture and case names predate the oracle: "reference" is now the
+ * functional interpreter above, checked against the core's (decoded)
+ * fetch path.
  */
-void
-dropDivergenceSnapshots(const std::vector<Program> &progs, Scheme scheme,
-                        bool shared_asid, std::uint64_t seed,
-                        std::size_t agree_chunks)
-{
-    const char *dir = std::getenv("MTRAP_FUZZ_SNAPSHOT_DIR");
-    if (!dir || !*dir)
-        return;
-    const unsigned cores = static_cast<unsigned>(progs.size());
-    for (const bool decoded : {false, true}) {
-        SystemConfig cfg = SystemConfig::forScheme(scheme, cores);
-        cfg.core.decodedFetch = decoded;
-        System sys(cfg);
-        for (unsigned c = 0; c < cores; ++c) {
-            ArchContext ctx;
-            ctx.program = &progs[c];
-            ctx.asid = shared_asid ? 1 : static_cast<Asid>(c + 1);
-            sys.core(c).setContext(ctx);
-        }
-        for (std::size_t chunk = 0; chunk < agree_chunks; ++chunk)
-            sys.run(500);
-        const std::string path = strfmt(
-            "%s/fuzz-divergence-%llu-%s.snap", dir,
-            static_cast<unsigned long long>(seed),
-            decoded ? "decoded" : "reference");
-        sys.saveSnapshotFile(path, seed);
-        std::fprintf(stderr,
-                     "fuzz: divergence snapshot %s (machine at last "
-                     "agreeing chunk %zu)\n",
-                     path.c_str(), agree_chunks);
-    }
-}
-
-void
-expectIdentical(const FuzzResult &ref, const FuzzResult &dec,
-                const std::vector<Program> &progs, bool shared_asid,
-                Scheme scheme, unsigned cores, std::uint64_t seed)
-{
-    const std::string what =
-        strfmt("scheme=%s cores=%u seed=%llu", schemeName(scheme), cores,
-               static_cast<unsigned long long>(seed));
-    if (ref.trajectory != dec.trajectory) {
-        const std::size_t n = std::min(ref.chunkTrajectory.size(),
-                                       dec.chunkTrajectory.size());
-        std::size_t agree = 0;
-        while (agree < n
-               && ref.chunkTrajectory[agree] == dec.chunkTrajectory[agree])
-            ++agree;
-        dropDivergenceSnapshots(progs, scheme, shared_asid, seed, agree);
-    }
-    ASSERT_EQ(ref.trajectory, dec.trajectory)
-        << "commit-stream divergence: " << what;
-    ASSERT_EQ(ref.regs, dec.regs) << "register divergence: " << what;
-    ASSERT_EQ(ref.halted, dec.halted) << "halt divergence: " << what;
-    ASSERT_EQ(ref.memFingerprint, dec.memFingerprint)
-        << "memory divergence: " << what;
-    ASSERT_EQ(ref.statsJson, dec.statsJson)
-        << "stats divergence: " << what;
-}
-
 class FuzzDifferentialTest : public ::testing::TestWithParam<Scheme>
 {
 };
@@ -395,9 +539,8 @@ TEST_P(FuzzDifferentialTest, DecodedPathMatchesReferenceSingleCore)
             mixSeeds(0xf022 ^ seedSalt(), i * 6151 + 17);
         std::vector<Program> progs;
         progs.push_back(fuzzProgram(seed, 16, 30));
-        const FuzzResult ref = runFuzz(progs, scheme, false, false);
-        const FuzzResult dec = runFuzz(progs, scheme, true, false);
-        expectIdentical(ref, dec, progs, false, scheme, 1, seed);
+        ASSERT_EQ(runAgainstOracle(progs, scheme, false), "")
+            << "scheme=" << schemeName(scheme) << " cores=1 seed=" << seed;
     }
 }
 
@@ -413,21 +556,20 @@ TEST_P(FuzzDifferentialTest, DecodedPathMatchesReferenceMultiCore)
                 mixSeeds((0xf022 + cores) ^ seedSalt(), i * 9377 + 5);
             std::vector<Program> progs;
             for (unsigned c = 0; c < cores; ++c)
-                progs.push_back(
-                    fuzzProgram(mixSeeds(seed, c), 12, 20));
+                progs.push_back(fuzzProgram(mixSeeds(seed, c), 12, 20, c,
+                                            lanesLog2(cores)));
             // Alternate between private address spaces and a shared
             // one (coherence + cross-asid invalidation coverage).
             const bool shared = (i % 2) == 1;
-            const FuzzResult ref = runFuzz(progs, scheme, false, shared);
-            const FuzzResult dec = runFuzz(progs, scheme, true, shared);
-            expectIdentical(ref, dec, progs, shared, scheme, cores,
-                            seed);
+            ASSERT_EQ(runAgainstOracle(progs, scheme, shared), "")
+                << "scheme=" << schemeName(scheme) << " cores=" << cores
+                << " shared=" << shared << " seed=" << seed;
         }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Schemes, FuzzDifferentialTest, ::testing::ValuesIn(fuzzSchemes()),
+    Schemes, FuzzDifferentialTest, ::testing::ValuesIn(allSchemes()),
     [](const ::testing::TestParamInfo<Scheme> &info) {
         std::string n = schemeName(info.param);
         for (char &c : n)
@@ -435,42 +577,6 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return n;
     });
-
-/**
- * Oracle self-test: prove the differential fuzzer would actually catch
- * a latency bug in the delay-on-miss leg. MTRAP_FUZZ_DELAY_MUTATION
- * perturbs the *decoded* path's delayed-load completion by one cycle
- * (core.cc's delayMutationHook); the fuzzer must flag the divergence
- * within a handful of seeds. If this fails, the DelayOnMiss rotation
- * above is running on a code path the programs never reach — dead
- * coverage, not real coverage.
- */
-TEST(FuzzOracle, CatchesInjectedDelayOnMissLatencyMutation)
-{
-    struct EnvGuard
-    {
-        EnvGuard() { setenv("MTRAP_FUZZ_DELAY_MUTATION", "1", 1); }
-        ~EnvGuard() { unsetenv("MTRAP_FUZZ_DELAY_MUTATION"); }
-    } guard;
-
-    bool caught = false;
-    for (unsigned i = 0; i < 10 && !caught; ++i) {
-        const std::uint64_t seed =
-            mixSeeds(0xde1a ^ seedSalt(), i * 6151 + 17);
-        std::vector<Program> progs;
-        progs.push_back(fuzzProgram(seed, 16, 30));
-        const FuzzResult ref =
-            runFuzz(progs, Scheme::DelayOnMiss, false, false);
-        const FuzzResult dec =
-            runFuzz(progs, Scheme::DelayOnMiss, true, false);
-        caught = ref.trajectory != dec.trajectory
-                 || ref.statsJson != dec.statsJson;
-    }
-    EXPECT_TRUE(caught)
-        << "injected +1-cycle delay-on-miss mutation went undetected "
-           "across 10 seeds: the fuzzer is not exercising the "
-           "delayed-load leg";
-}
 
 /** The decode itself: kinds, latencies, FU selection, pre-resolved
  *  targets. */
