@@ -252,33 +252,6 @@ schedSuite(const RunOptions &opt, std::uint64_t seed)
 
 // ------------------------------------------------------- security matrix
 
-/** The attacks of runAllAttacks(), individually dispatchable so the
- *  pool can fan them out. Names mirror what each function reports. */
-struct AttackEntry
-{
-    const char *name;
-    AttackOutcome (*fn)(Scheme, const MuonTrapConfig *);
-};
-
-const std::vector<AttackEntry> &
-attackEntries()
-{
-    static const std::vector<AttackEntry> entries = {
-        {"1:spectre-prime-probe", runSpectrePrimeProbe},
-        {"2:inclusion-policy", runInclusionPolicyAttack},
-        {"3:shared-data", runSharedDataAttack},
-        {"4:filter-coherency", runFilterCacheCoherencyAttack},
-        {"5:prefetcher", runPrefetcherAttack},
-        {"6:icache", runIcacheAttack},
-        {"v2:btb-injection", runSpectreBtbInjection},
-        {"7:bus-covert", runBusCovertChannel},
-        {"8:prefetch-covert", runPrefetchCovertChannel},
-        {"9:l2-prime-probe", runL2PrimeProbe},
-        {"10:spec-store", runSpecStoreChannel},
-    };
-    return entries;
-}
-
 Suite
 securitySuite(const RunOptions &opt, std::uint64_t seed)
 {
@@ -301,14 +274,15 @@ securitySuite(const RunOptions &opt, std::uint64_t seed)
     s.progressByCol = true;
 
     for (Scheme scheme : schemes) {
-        for (const AttackEntry &a : attackEntries()) {
+        // One job per kAttackTable row, so the pool can fan them out.
+        for (const AttackEntry &a : kAttackTable) {
             JobSpec j;
             j.index = s.jobs.size();
             j.suite = s.name;
             j.row = a.name;
             j.col = schemeName(scheme);
-            j.custom = [fn = a.fn, scheme](const JobSpec &) {
-                const AttackOutcome out = fn(scheme, nullptr);
+            j.custom = [run = a.run, scheme](const JobSpec &) {
+                const AttackOutcome out = run(scheme, nullptr);
                 JobResult r;
                 r.note = out.leaked ? "LEAK" : "blocked";
                 r.metrics["leaked"] = out.leaked ? 1.0 : 0.0;
@@ -339,7 +313,7 @@ securitySuite(const RunOptions &opt, std::uint64_t seed)
         for (Scheme scheme : schemes)
             hdr.push_back(schemeName(scheme));
         t.header(hdr);
-        for (const AttackEntry &a : attackEntries()) {
+        for (const AttackEntry &a : kAttackTable) {
             std::vector<std::string> row = {a.name};
             for (Scheme scheme : schemes)
                 row.push_back(cell(rs, a.name, scheme).note);
@@ -355,7 +329,7 @@ securitySuite(const RunOptions &opt, std::uint64_t seed)
     s.verdict = [schemes, cell](const std::vector<JobResult> &rs,
                                 std::ostream &os) {
         unsigned bad = 0;
-        for (const AttackEntry &a : attackEntries()) {
+        for (const AttackEntry &a : kAttackTable) {
             for (Scheme scheme : schemes) {
                 const bool leaked =
                     cell(rs, a.name, scheme).note == "LEAK";

@@ -1,20 +1,29 @@
 /**
  * @file
- * Executable implementations of the paper's six attack vignettes
- * (attack boxes 1-6). Each attack builds fresh systems, runs the
- * attacker/victim choreography for secret values 0 and 1, and reports
- * whether timing measurements recover the secret.
+ * Executable implementations of the paper's attack boxes (1-6), the
+ * Spectre-v2 injection variant and four extended choreographies (7-10).
+ * Each attack builds fresh systems, runs the attacker/victim
+ * choreography for secret values 0 and 1, and reports whether timing
+ * measurements recover the secret.
  *
  * Under Scheme::Baseline every attack must leak; under Scheme::MuonTrap
- * every attack must be blocked — the security test suite and the
- * security_matrix bench assert exactly that.
+ * every attack but the committed bus channel (7) must be blocked. The
+ * declared outcome of every (attack, scheme) cell is expectedLeak();
+ * tests/security/matrix_test.cc and the harness's security suite
+ * (`mtrap_batch --suite security`) assert the live outcomes against it.
  *
  * Choreography is driven from C++ (prime, run victim gadget, measure)
  * rather than from a single program, mirroring how the attacks are
  * described: the attacker controls when the victim runs and measures
  * with a perfect stopwatch (MemSystem::timeProbe), which only makes the
  * attacks *easier* — a defence that stops the stopwatch version stops
- * the noisy-timer version a fortiori.
+ * the noisy-timer version a fortiori. All attacks run through one
+ * driver in attacks.cc: per secret value it builds a fresh system, and
+ * for the bounds-check attacks it evicts the bound chain, trains the
+ * victim gadget in bounds and runs it out of bounds; each attack adds
+ * only its aliases, its attacker step, its probe and one of three
+ * decision rules. The v2 and bus-covert attacks bring their own
+ * choreography.
  */
 
 #ifndef MTRAP_WORKLOAD_ATTACKS_HH
@@ -131,8 +140,34 @@ AttackOutcome runSpecStoreChannel(Scheme s,
                                   const MuonTrapConfig *mt_override
                                       = nullptr);
 
+using AttackFn = AttackOutcome (*)(Scheme, const MuonTrapConfig *);
+
+/** One row of the security matrix: the attack's name (which its
+ *  AttackOutcome::attack reports) and its runner. */
+struct AttackEntry
+{
+    const char *name;
+    AttackFn run;
+};
+
 /** All paper attacks plus the v2 injection variant and the extended
- *  choreographies (7-10), in matrix row order. */
+ *  choreographies (7-10), in matrix row order: the one list of attacks,
+ *  which runAllAttacks() and the harness's security suite iterate. */
+inline constexpr AttackEntry kAttackTable[] = {
+    {"1:spectre-prime-probe", runSpectrePrimeProbe},
+    {"2:inclusion-policy", runInclusionPolicyAttack},
+    {"3:shared-data", runSharedDataAttack},
+    {"4:filter-coherency", runFilterCacheCoherencyAttack},
+    {"5:prefetcher", runPrefetcherAttack},
+    {"6:icache", runIcacheAttack},
+    {"v2:btb-injection", runSpectreBtbInjection},
+    {"7:bus-covert", runBusCovertChannel},
+    {"8:prefetch-covert", runPrefetchCovertChannel},
+    {"9:l2-prime-probe", runL2PrimeProbe},
+    {"10:spec-store", runSpecStoreChannel},
+};
+
+/** Every kAttackTable row under `s`, in matrix row order. */
 std::vector<AttackOutcome> runAllAttacks(Scheme s);
 
 /**
