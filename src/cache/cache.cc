@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/first_min.hh"
 #include "common/log.hh"
 #include "snapshot/snapshot.hh"
 
@@ -223,14 +224,16 @@ Cache::reserveMshr(Addr paddr, Cycle when, Cycle miss_latency)
     }
 
     // Pick the slot that frees earliest.
-    auto it = std::min_element(mshrFree_.begin(), mshrFree_.end());
+    const FirstMin slot = firstMin(
+        mshrFree_.data(), static_cast<unsigned>(mshrFree_.size()));
     Cycle delay = 0;
-    if (*it > when) {
-        delay = *it - when;
+    if (slot.value > when) {
+        delay = slot.value - when;
         ++mshrStalls;
     }
-    *it = when + delay + miss_latency;
-    inflightFills_.put(line, *it);
+    const Cycle arrival = when + delay + miss_latency;
+    mshrFree_[slot.index] = arrival;
+    inflightFills_.put(line, arrival);
 
     // Bound the tracking map (timestamps are not globally monotonic —
     // wrong-path issues run "in the past" — so dropping an entry whose

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/first_min.hh"
 #include "common/log.hh"
 #include "perf/odometer.hh"
 #include "sim/mem_system.hh"
@@ -616,10 +617,9 @@ Core::allocFetchSlot()
 Cycle
 Core::fuAvailable(FuPool &units, Cycle ready)
 {
-    auto it = std::min_element(units.until.begin(),
-                               units.until.begin() + units.count);
-    const Cycle start = std::max(*it, ready);
-    *it = start + 1; // units accept one op per cycle (pipelined)
+    const FirstMin unit = firstMin(units.until.data(), units.count);
+    const Cycle start = std::max(unit.value, ready);
+    units.until[unit.index] = start + 1; // one op per cycle (pipelined)
     return start;
 }
 

@@ -275,7 +275,11 @@ class Core
 
     /**
      * One class of functional units: per-unit next-free cycles, inline
-     * storage (no heap indirection on the per-op scheduling path).
+     * storage (no heap indirection on the per-op scheduling path). An
+     * op takes the first earliest-free unit, the lowest index among
+     * the units with the smallest next-free cycle (firstMin), and
+     * holds it for one cycle (units are pipelined). The chosen index
+     * is visible in snapshots, so the tie rule is part of the format.
      */
     struct FuPool
     {

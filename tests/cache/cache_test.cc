@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/cache.hh"
 
 namespace mtrap
@@ -245,6 +247,29 @@ TEST(Cache, MshrMergeArrivalMatchesFirstFill)
     // Merged request at t=120 with base latency 10 would finish at 130
     // on its own; it must be delayed to the shared arrival at 150.
     EXPECT_EQ(c.reserveMshr(0x0000, 120, 10), 20u);
+}
+
+TEST(Cache, MshrDelaySequencePinned)
+{
+    // Forty distinct-line misses with scattered issue times and
+    // latencies contend for 16 MSHRs: each picks the first slot that
+    // frees earliest. Pinned so a slot-selection change that moves
+    // any stall shows here.
+    StatGroup g("g");
+    CacheParams p = smallCache();
+    p.mshrs = 16;
+    Cache c(p, &g);
+    std::vector<Cycle> delays;
+    for (unsigned i = 0; i < 40; ++i) {
+        const Cycle when = 100 + (i * 7) % 13 + 4 * i;
+        const Cycle latency = 50 + (i * 11) % 37;
+        delays.push_back(c.reserveMshr(Addr{i} << 12, when, latency));
+    }
+    const std::vector<Cycle> expect = {
+        0, 0, 0, 0, 0, 0,  0,  0, 0,  0, 0, 0, 0, 0, 0,  0, 0, 2, 0,  2,
+        1, 9, 1, 6, 0, 10, 15, 7, 11, 1, 6, 0, 3, 2, 10, 4, 7, 3, 12, 17};
+    EXPECT_EQ(delays, expect);
+    EXPECT_EQ(c.mshrStalls.value(), 20u);
 }
 
 TEST(Cache, StatsCountFills)

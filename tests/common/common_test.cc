@@ -1,13 +1,15 @@
 /**
  * @file
- * Unit tests for the common runtime: types helpers, logging format,
- * statistics and the deterministic RNG.
+ * Unit tests for the common runtime: types helpers, the first-minimum
+ * scan, logging format, statistics and the deterministic RNG.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "common/first_min.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -52,6 +54,24 @@ TEST(Types, Log2)
     EXPECT_EQ(log2i(2), 1u);
     EXPECT_EQ(log2i(64), 6u);
     EXPECT_EQ(log2i(2048), 11u);
+}
+
+TEST(FirstMin, PicksTheElementMinElementPicks)
+{
+    // Few distinct values, so most arrays hold ties: the lowest index
+    // among them must win, because the chosen functional unit or MSHR
+    // is saved in snapshot images.
+    Rng rng(7);
+    Cycle v[16];
+    for (int trial = 0; trial < 2000; ++trial) {
+        const unsigned n = 1 + static_cast<unsigned>(rng.below(16));
+        for (unsigned i = 0; i < n; ++i)
+            v[i] = rng.below(4) == 0 ? kCycleNever : rng.below(3);
+        const FirstMin m = firstMin(v, n);
+        const Cycle *ref = std::min_element(v, v + n);
+        ASSERT_EQ(m.index, static_cast<unsigned>(ref - v)) << trial;
+        ASSERT_EQ(m.value, *ref) << trial;
+    }
 }
 
 // --- logging ------------------------------------------------------------------

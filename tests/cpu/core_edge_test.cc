@@ -3,7 +3,8 @@
  * Edge-case tests for the out-of-order core: deep call stacks and RAS
  * overflow, BTB-miss stalls, nested wrong paths, store-buffer chains,
  * address masking, context save/restore round trips, structural
- * limit stress, and wrong-path work that must never commit.
+ * limit stress, wrong-path work that must never commit, and a
+ * snapshot taken with a wrong path in flight.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "cpu/core.hh"
 #include "sim/system.hh"
+#include "snapshot/snapshot.hh"
 
 namespace mtrap
 {
@@ -403,6 +405,78 @@ TEST(CoreEdge, SaveContextSquashesInFlightWrongPath)
     EXPECT_EQ(saved.regs[6], 0u);
     EXPECT_EQ(sys.core(0).committedCount(), 17u);
     EXPECT_EQ(sys.mem().read(1, kX), before);
+}
+
+TEST(CoreEdge, WrongPathSnapshotRoundTrip)
+{
+    // Save while a mispredicted branch's wrong path (stores and loads
+    // included) is in the window, before its squash. The restored core
+    // must free the same LQ/SQ slots at the squash, so the load-heavy
+    // correct path after it fills the LQ at the same cycles as the
+    // uninterrupted run.
+    constexpr Addr kX = 0x10000;
+    ProgramBuilder b("wpsnap");
+    b.movi(1, 1'000'000);
+    b.movi(2, 3);
+    b.movi(5, 7);
+    b.movi(7, static_cast<std::int64_t>(kX));
+    emitSlowZero(b);
+    b.braEq("done", 13, 13);   // actual: taken; cold predictor falls through
+    for (int i = 0; i < 8; ++i) {
+        b.store(5, 7, i * 8);
+        b.load(6, 7, 64 + i * 8);
+    }
+    for (int i = 0; i < 100; ++i)
+        b.addi(10, 10, 1);
+    b.label("done");
+    for (int i = 0; i < 80; ++i)
+        b.load(16 + i % 8, 7, 4096 + i * 64);
+    b.halt();
+    const Program p = b.take();
+
+    auto start = [&p](Rig &rig) {
+        rig.mem.lat = 60;
+        rig.prog = p;
+        ArchContext ctx;
+        ctx.program = &rig.prog;
+        ctx.asid = 1;
+        rig.core->setContext(ctx);
+    };
+
+    Rig a;
+    start(a);
+    while (a.core->wrongPathFetched.value() < 24)
+        ASSERT_TRUE(a.core->stepOne());
+    ASSERT_EQ(a.core->squashes.value(), 0u);
+    const std::uint64_t committed_at_save = a.core->committedCount();
+    Serializer s;
+    s.beginSection(kTagCore);
+    a.core->saveState(s);
+    s.endSection();
+    const std::vector<std::uint8_t> img = frameSnapshot(s, 1, 2);
+
+    Rig r;
+    start(r);
+    r.mem.store = a.mem.store;
+    Deserializer d(img, 1, 2);
+    d.beginSection(kTagCore);
+    r.core->restoreState(d);
+    d.endSection();
+
+    a.core->run(1'000'000);
+    r.core->run(1'000'000);
+    ASSERT_TRUE(a.core->halted());
+    ASSERT_TRUE(r.core->halted());
+    a.core->drain();
+    r.core->drain();
+    for (unsigned i = 0; i < kNumRegs; ++i)
+        EXPECT_EQ(r.core->reg(i), a.core->reg(i)) << "r" << i;
+    EXPECT_EQ(committed_at_save + r.core->committedCount(),
+              a.core->committedCount());
+    EXPECT_EQ(r.core->lastCommitCycle(), a.core->lastCommitCycle());
+    EXPECT_EQ(a.core->squashes.value(), 1u);
+    EXPECT_EQ(r.core->squashes.value(), 1u);
+    EXPECT_EQ(r.mem.store, a.mem.store);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "cpu/core.hh"
@@ -106,6 +107,11 @@ struct CoreRig
     {
         CoreParams p;
         p.defense = d;
+        core = std::make_unique<Core>(0, p, &mem, &root);
+    }
+
+    explicit CoreRig(const CoreParams &p) : root("rig")
+    {
         core = std::make_unique<Core>(0, p, &mem, &root);
     }
 
@@ -617,6 +623,64 @@ TEST(CoreTiming, IpcBoundedByWidth)
     const double ipc = rig.core->ipc.value();
     EXPECT_GT(ipc, 1.0);
     EXPECT_LE(ipc, 8.0);
+}
+
+TEST(CoreTiming, FuPoolSizesPinned)
+{
+    // Independent IntAlu, IntMul/IntDiv, FpAlu and load ops contend for
+    // every pool, right and wrong path (the loop exit mispredicts); the
+    // int pool needs more than 3 units per cycle. The Table 1 defaults
+    // and the goldens never use 1 unit or 16 (the per-pool maximum), so
+    // these literals are what catches a unit-selection bug at the
+    // pool-size edges.
+    ProgramBuilder b("fumix");
+    b.movi(1, 0x40000);
+    b.movi(2, 7);
+    b.movi(3, 3);
+    b.movi(20, 0);
+    b.movi(21, 50);
+    b.label("top");
+    for (int i = 0; i < 12; ++i)
+        b.add(4 + i, 2, 3);
+    b.mul(16, 2, 3);
+    b.mul(17, 2, 3);
+    b.div(18, 2, 3);
+    b.fp(19, 2, 3);
+    b.fp(22, 2, 3);
+    b.load(23, 1, 0);
+    b.load(24, 1, 64);
+    b.addi(20, 20, 1);
+    b.braLt("top", 20, 21);
+    b.halt();
+    const Program p = b.take();
+
+    struct Pin
+    {
+        unsigned intAlus, fpAlus, mulDivs, memPorts;
+        Cycle lastCommit;
+        std::uint64_t commits;
+    };
+    const Pin pins[] = {
+        {1, 1, 1, 1, 814, 1056},
+        {3, 3, 3, 3, 372, 1056},
+        {16, 16, 16, 16, 264, 1056},
+        {3, 16, 1, 16, 372, 1056},
+    };
+    for (const Pin &pin : pins) {
+        CoreParams params;
+        params.intAlus = pin.intAlus;
+        params.fpAlus = pin.fpAlus;
+        params.mulDivs = pin.mulDivs;
+        params.memPorts = pin.memPorts;
+        CoreRig rig(params);
+        rig.runProgram(p);
+        const std::string row = std::to_string(pin.intAlus) + "/" +
+                                std::to_string(pin.fpAlus) + "/" +
+                                std::to_string(pin.mulDivs) + "/" +
+                                std::to_string(pin.memPorts);
+        EXPECT_EQ(rig.core->lastCommitCycle(), pin.lastCommit) << row;
+        EXPECT_EQ(rig.core->committedCount(), pin.commits) << row;
+    }
 }
 
 } // namespace
