@@ -31,6 +31,18 @@ cacheMissRate(const void *ctx)
 
 } // namespace
 
+const char *
+coherStateName(CoherState s)
+{
+    switch (s) {
+      case CoherState::Invalid: return "I";
+      case CoherState::Shared: return "S";
+      case CoherState::Exclusive: return "E";
+      case CoherState::Modified: return "M";
+    }
+    return "?";
+}
+
 Cache::Cache(const CacheParams &params, StatGroup *parent)
     : params_(params),
       stats_(cacheStatSchema(), params.name, parent),
@@ -58,8 +70,6 @@ Cache::Cache(const CacheParams &params, StatGroup *parent)
         fatal("%s: set count %u must be a power of two",
               params.name.c_str(), sets_);
     lines_.allocate(sets_, params.assoc);
-    repl_ = Replacement::create(params.repl, sets_, params.assoc,
-                                params.seed);
     mshrFree_.assign(std::max(1u, params.mshrs), 0);
 }
 
@@ -77,7 +87,7 @@ Cache::fill(Addr paddr, CoherState st, Eviction *ev)
     for (unsigned w = 0; w < params_.assoc; ++w) {
         if (base[w].valid() && base[w].ptag == ln) {
             base[w].state = st;
-            repl_->touchLine(set, w, base[w]);
+            base[w].replStamp = ++stamp_;
             if (ev)
                 *ev = Eviction{};
             return base[w];
@@ -95,7 +105,10 @@ Cache::fill(Addr paddr, CoherState st, Eviction *ev)
 
     Eviction local{};
     if (way == params_.assoc) {
-        way = repl_->victim(set, base, params_.assoc);
+        way = 0;
+        for (unsigned w = 1; w < params_.assoc; ++w)
+            if (base[w].replStamp < base[way].replStamp)
+                way = w;
         CacheLine &v = base[way];
         local.valid = true;
         local.ptag = v.ptag;
@@ -111,7 +124,7 @@ Cache::fill(Addr paddr, CoherState st, Eviction *ev)
     l.clear();
     l.ptag = ln;
     l.state = st;
-    repl_->filled(set, way, l);
+    l.replStamp = ++stamp_;
     ++fills;
     return l;
 }
@@ -160,7 +173,7 @@ Cache::saveState(Serializer &s) const
         s.raw(base, sizeof(CacheLine) * params_.assoc);
     });
 
-    repl_->saveState(s);
+    s.u64(stamp_);
     s.vec(mshrFree_);
 
     // FlatWordMap iteration order is unspecified; sort for a
@@ -190,7 +203,7 @@ Cache::restoreState(Deserializer &d)
         d.raw(lines_.set(set), sizeof(CacheLine) * params_.assoc);
     }
 
-    repl_->restoreState(d);
+    stamp_ = d.u64();
     std::vector<Cycle> mshr;
     d.vec(mshr);
     if (mshr.size() != mshrFree_.size())

@@ -12,7 +12,6 @@
 #ifndef MTRAP_CACHE_CACHE_HH
 #define MTRAP_CACHE_CACHE_HH
 
-#include <memory>
 #include <new>
 #include <string>
 #include <type_traits>
@@ -21,7 +20,6 @@
 #include "cache/line.hh"
 #include "common/buffer_pool.hh"
 #include "common/flat_map.hh"
-#include "cache/replacement.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -39,8 +37,6 @@ struct CacheParams
     unsigned assoc = 2;
     Cycle hitLatency = 1;
     unsigned mshrs = 4;
-    ReplPolicy repl = ReplPolicy::Lru;
-    std::uint64_t seed = 1;
 };
 
 /** Description of a line pushed out by a fill. */
@@ -194,7 +190,8 @@ class LineArray
 };
 
 /**
- * Set-associative tag array with statistics and MSHR accounting.
+ * Set-associative tag array with LRU replacement, statistics and MSHR
+ * accounting.
  */
 class Cache
 {
@@ -206,8 +203,8 @@ class Cache
     unsigned numWays() const { return params_.assoc; }
 
     /**
-     * Look up a physical address. Returns the line (updating replacement
-     * state) or nullptr on miss. `paddr` is a full byte address.
+     * Look up a physical address. Returns the line (marking it most
+     * recently used) or nullptr on miss. `paddr` is a full byte address.
      * Defined inline: this is the single hottest call in the memory
      * system and is dispatched from several translation units.
      */
@@ -221,15 +218,14 @@ class Cache
         for (unsigned w = 0; w < params_.assoc; ++w) {
             CacheLine &l = base[w];
             if (l.valid() && l.ptag == ln) {
-                repl_->touchLine(set, w, l);
+                l.replStamp = ++stamp_;
                 return &l;
             }
         }
         return nullptr;
     }
 
-    /** Look up without perturbing replacement state (for probes and
-     *  snoops). */
+    /** Look up without marking the line used (for probes and snoops). */
     CacheLine *peek(Addr paddr)
     {
         const Addr ln = lineNum(paddr);
@@ -249,8 +245,9 @@ class Cache
 
     /**
      * Install a line for `paddr` with state `st`. If the set is full the
-     * replacement policy evicts; the victim is described in `ev` (may be
-     * nullptr if the caller doesn't care). Returns the filled line.
+     * least recently used line is evicted (the lowest way on a tie); the
+     * victim is described in `ev` (may be nullptr if the caller doesn't
+     * care). Returns the filled line.
      */
     CacheLine &fill(Addr paddr, CoherState st, Eviction *ev = nullptr);
 
@@ -289,7 +286,7 @@ class Cache
 
     /**
      * Checkpoint the cache's mutable state: touched line sets (sparse),
-     * replacement-policy state, MSHR slots and in-flight fills. Stats
+     * the LRU stamp counter, MSHR slots and in-flight fills. Stats
      * sheets are handled by the System-level stats section. FilterCache
      * extends this with its virtual-tag arrays.
      */
@@ -311,7 +308,9 @@ class Cache
      *  recycling avoids first-touch page faults and the per-set lazy
      *  init avoids paying for megabytes of untouched metadata. */
     LineArray lines_;
-    std::unique_ptr<Replacement> repl_;
+    /** LRU clock: every hit and fill writes ++stamp_ to the line's
+     *  replStamp, so the smallest stamp in a set is its LRU line. */
+    std::uint64_t stamp_ = 0;
     std::vector<Cycle> mshrFree_;
     /** Outstanding fills: line number -> data-arrival cycle. */
     FlatWordMap inflightFills_;

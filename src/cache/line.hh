@@ -37,16 +37,13 @@ const char *coherStateName(CoherState s);
  * system total several megabytes and every lookup/peek walks them, so
  * their footprint sets the simulator's hardware-cache behaviour. The
  * filter caches' virtual tags live in a FilterCache-side array rather
- * than here, and the replacement stamp is shared between LRU (updated
- * on touch and fill) and FIFO (updated on fill only — the policy
- * controls when it advances, see Replacement::touchLine).
+ * than here.
  */
 struct CacheLine
 {
     /** Physical line number (paddr >> kLineShift); tag+index combined. */
     Addr ptag = kAddrInvalid;
-    /** Replacement bookkeeping: policy-defined stamp (LRU last-touch /
-     *  FIFO fill order). */
+    /** LRU stamp: the owning cache's clock at the last hit or fill. */
     std::uint64_t replStamp = 0;
     CoherState state = CoherState::Invalid;
     /**

@@ -2,8 +2,8 @@
  * @file
  * Deterministic pseudo-random number generator (xoshiro256**).
  *
- * Every stochastic choice in the simulator (random replacement, workload
- * generation) draws from an explicitly seeded Rng so whole experiments
+ * Every stochastic choice in the simulator (workload generation, arrival
+ * schedules) draws from an explicitly seeded Rng so whole experiments
  * are bit-reproducible.
  */
 
@@ -36,28 +36,14 @@ class Rng
     /** Uniform in [lo, hi] inclusive. */
     std::uint64_t range(std::uint64_t lo, std::uint64_t hi);
 
-    /** Internal state, for checkpoint save/restore. */
-    void saveState(std::uint64_t out[4]) const
-    {
-        for (int i = 0; i < 4; ++i)
-            out[i] = s_[i];
-    }
-
-    /** Overwrite the internal state from a checkpoint. */
-    void restoreState(const std::uint64_t in[4])
-    {
-        for (int i = 0; i < 4; ++i)
-            s_[i] = in[i];
-    }
-
   private:
     std::uint64_t s_[4];
 };
 
 /**
  * Deterministically combine two seeds into a new one (splitmix64-based
- * avalanche). Used to derive per-job seeds from a global seed and to
- * perturb configured structure seeds without correlation.
+ * avalanche). Used to derive per-job and per-workload seeds from a
+ * global seed without correlation.
  */
 std::uint64_t mixSeeds(std::uint64_t a, std::uint64_t b);
 

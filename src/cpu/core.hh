@@ -304,7 +304,7 @@ class Core
     bool evalBranch(const DecodedOp &op) const;
     std::uint64_t aluResult(const DecodedOp &op) const;
 
-    void appendEntry(WinEntry &e) __attribute__((always_inline));
+    inline void appendEntry(WinEntry &e) __attribute__((always_inline));
     void popHead();
     void retireEligible();
     void commitActions(const WinEntry &e);

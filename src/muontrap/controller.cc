@@ -68,15 +68,9 @@ MuonTrapCore::MuonTrapCore(const MuonTrapConfig &cfg, CoreId core,
     if (!cfg_.enabled)
         return;
 
-    FilterCacheParams dp = cfg_.dataParams;
-    dp.seed += core * 1001;
-    dataFilter_ = std::make_unique<FilterCache>(dp, &stats_);
-
-    if (cfg_.instFilter) {
-        FilterCacheParams ip = cfg_.instParams;
-        ip.seed += core * 2003;
-        instFilter_ = std::make_unique<FilterCache>(ip, &stats_);
-    }
+    dataFilter_ = std::make_unique<FilterCache>(cfg_.dataParams, &stats_);
+    if (cfg_.instFilter)
+        instFilter_ = std::make_unique<FilterCache>(cfg_.instParams, &stats_);
     if (cfg_.tlbFilter) {
         TlbParams tp;
         tp.name = "filter_tlb";

@@ -52,8 +52,11 @@ struct MuonTrapConfig
     /** Access L0 and L1 in parallel rather than serially (§6.5). */
     bool parallelL0L1 = false;
 
-    FilterCacheParams dataParams{};
-    FilterCacheParams instParams{};
+    /** Filter-cache geometry (paper Table 1: 2KiB 4-way, 1 cycle). */
+    CacheParams dataParams{/*name=*/"fcache", /*size=*/2048, /*assoc=*/4,
+                           /*hitLatency=*/1, /*mshrs=*/4};
+    CacheParams instParams{/*name=*/"fcache", /*size=*/2048, /*assoc=*/4,
+                           /*hitLatency=*/1, /*mshrs=*/4};
     unsigned filterTlbEntries = 16;
 
     /** Full protection, paper defaults (2KiB 4-way filters). */

@@ -9,20 +9,6 @@ namespace mtrap
 namespace
 {
 
-CacheParams
-toCacheParams(const FilterCacheParams &p)
-{
-    CacheParams cp;
-    cp.name = p.name;
-    cp.sizeBytes = p.sizeBytes;
-    cp.assoc = p.assoc;
-    cp.hitLatency = p.hitLatency;
-    cp.mshrs = p.mshrs;
-    cp.repl = p.repl;
-    cp.seed = p.seed;
-    return cp;
-}
-
 StatSchema &
 filterStatSchema()
 {
@@ -32,8 +18,8 @@ filterStatSchema()
 
 } // namespace
 
-FilterCache::FilterCache(const FilterCacheParams &params, StatGroup *parent)
-    : Cache(toCacheParams(params), parent),
+FilterCache::FilterCache(const CacheParams &params, StatGroup *parent)
+    : Cache(params, parent),
       validBit_(lines_.size(), false),
       vtags_(lines_.size()),
       fstats_(filterStatSchema(), params.name.withSuffix("_filter"),

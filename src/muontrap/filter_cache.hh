@@ -32,18 +32,6 @@
 namespace mtrap
 {
 
-/** Filter-cache configuration (defaults = paper Table 1: 2KiB 4-way). */
-struct FilterCacheParams
-{
-    StatName name = "fcache";
-    std::uint64_t sizeBytes = 2048;
-    unsigned assoc = 4;
-    Cycle hitLatency = 1;
-    unsigned mshrs = 4;
-    ReplPolicy repl = ReplPolicy::Lru;
-    std::uint64_t seed = 7;
-};
-
 /**
  * Speculative filter cache. The CPU side looks up by virtual address;
  * the coherence side (bus snoops, invalidations) addresses it physically
@@ -52,7 +40,7 @@ struct FilterCacheParams
 class FilterCache : public Cache
 {
   public:
-    FilterCache(const FilterCacheParams &params, StatGroup *parent);
+    FilterCache(const CacheParams &params, StatGroup *parent);
 
     /**
      * CPU-side lookup by virtual address + ASID. The physical address is

@@ -54,12 +54,10 @@ MemSystem::MemSystem(const MemSystemParams &params, StatGroup *parent)
     for (CoreId c = 0; c < params_.cores; ++c) {
         CacheParams l1dp = params_.l1d;
         l1dp.name = StatName::indexed("l1d", c);
-        l1dp.seed += c * 101;
         l1d_.push_back(std::make_unique<Cache>(l1dp, &stats_));
 
         CacheParams l1ip = params_.l1i;
         l1ip.name = StatName::indexed("l1i", c);
-        l1ip.seed += c * 103;
         l1i_.push_back(std::make_unique<Cache>(l1ip, &stats_));
 
         TlbParams dtp = params_.dtlb;

@@ -167,8 +167,8 @@ class MemSystem final : public MemIface, public PtwAccessIface
     /** Split hot/cold: translate() is the TLB-hit fast path (small
      *  enough to inline into the access walks); the filter-TLB probe
      *  and hardware walk live in translateMiss(). */
-    Translation translate(CoreId core, Asid asid, Addr vaddr, Cycle when,
-                          bool speculative, bool ifetch)
+    inline Translation translate(CoreId core, Asid asid, Addr vaddr,
+                                 Cycle when, bool speculative, bool ifetch)
         __attribute__((always_inline));
     Translation translateMiss(Tlb &tlb, CoreId core, Asid asid,
                               Addr vaddr, Cycle when, bool speculative);

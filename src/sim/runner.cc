@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/log.hh"
-#include "common/rng.hh"
 #include "snapshot/snapshot.hh"
 
 namespace mtrap
@@ -13,20 +12,6 @@ namespace mtrap
 
 namespace
 {
-
-/** Mix RunOptions::seed into every structure seed (caches, filter
- *  caches). No-op when seed == 0. */
-void
-applyRunSeed(SystemConfig &c, std::uint64_t seed)
-{
-    if (!seed)
-        return;
-    c.mem.l1d.seed = mixSeeds(c.mem.l1d.seed, seed);
-    c.mem.l1i.seed = mixSeeds(c.mem.l1i.seed, seed);
-    c.mem.l2.seed = mixSeeds(c.mem.l2.seed, seed);
-    c.mem.mt.dataParams.seed = mixSeeds(c.mem.mt.dataParams.seed, seed);
-    c.mem.mt.instParams.seed = mixSeeds(c.mem.mt.instParams.seed, seed);
-}
 
 /** Threads of the widest job `src` can place on the machine. */
 unsigned
@@ -172,7 +157,6 @@ run(const RunSpec &spec)
     SystemConfig c = spec.cfg;
     c.cores = std::max(c.cores, widestJob(spec.source));
     c.mem.cores = c.cores;
-    applyRunSeed(c, opt.seed);
 
     RunOutput out;
     out.system = std::make_unique<System>(c);

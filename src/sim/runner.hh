@@ -36,11 +36,12 @@ struct RunOptions
     std::uint64_t warmupInstructions = kDefaultWarmupInstructions;
     std::uint64_t measureInstructions = kDefaultMeasureInstructions;
     /**
-     * Experiment seed. 0 (the default) leaves every structure's
-     * configured seed untouched, so legacy results are unchanged; any
-     * other value is mixed into the cache/filter replacement seeds so a
-     * run can be re-randomised reproducibly (mtrap_sim --seed, harness
-     * per-job seeds).
+     * Experiment seed of the workload(s) this run was built from
+     * (mtrap_sim --seed, harness per-job seeds). It changes no
+     * simulated result: the seed reaches the programs when they are
+     * generated, before run(). run() only mixes it into the context
+     * fingerprint so differently seeded workloads never share a warm
+     * snapshot.
      */
     std::uint64_t seed = 0;
 
@@ -122,7 +123,7 @@ using RunSource = std::variant<Workload, MixSource, ServerSource>;
 struct RunSpec
 {
     /** The machine. run() raises `cores` to the widest job the source
-     *  can hold and mixes RunOptions::seed into the structure seeds. */
+     *  can hold. */
     SystemConfig cfg{};
     RunSource source;
     RunOptions opt{};

@@ -226,20 +226,6 @@ mixCacheParams(Fingerprint &fp, const CacheParams &p)
     fp.mix(p.assoc);
     fp.mix(p.hitLatency);
     fp.mix(p.mshrs);
-    fp.mix(static_cast<std::uint64_t>(p.repl));
-    fp.mix(p.seed);
-}
-
-void
-mixFilterCacheParams(Fingerprint &fp, const FilterCacheParams &p)
-{
-    fp.mix(p.name.str());
-    fp.mix(p.sizeBytes);
-    fp.mix(p.assoc);
-    fp.mix(p.hitLatency);
-    fp.mix(p.mshrs);
-    fp.mix(static_cast<std::uint64_t>(p.repl));
-    fp.mix(p.seed);
 }
 
 void
@@ -306,8 +292,8 @@ System::configFingerprint() const
     fp.mix(mt.commitPrefetch ? 1 : 0);
     fp.mix(mt.clearOnMisspec ? 1 : 0);
     fp.mix(mt.parallelL0L1 ? 1 : 0);
-    mixFilterCacheParams(fp, mt.dataParams);
-    mixFilterCacheParams(fp, mt.instParams);
+    mixCacheParams(fp, mt.dataParams);
+    mixCacheParams(fp, mt.instParams);
     fp.mix(mt.filterTlbEntries);
 
     return fp.value();

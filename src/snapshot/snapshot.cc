@@ -1,5 +1,6 @@
 #include "snapshot/snapshot.hh"
 
+#include <algorithm>
 #include <array>
 #include <fstream>
 
@@ -256,8 +257,8 @@ frameSnapshot(const Serializer &body, std::uint64_t cfg_fp,
 {
     std::vector<std::uint8_t> out;
     out.reserve(kHeaderBytes + body.bytes().size() + kTrailerBytes);
-    out.insert(out.end(), kMagic.begin(), kMagic.end());
     out.resize(kHeaderBytes);
+    std::copy(kMagic.begin(), kMagic.end(), out.begin());
     storeLe(out.data() + 4, kEndianTag, 4);
     storeLe(out.data() + 8, kSnapshotFormatVersion, 4);
     storeLe(out.data() + 12, cfg_fp, 8);

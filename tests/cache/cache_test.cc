@@ -1,8 +1,7 @@
 /**
  * @file
- * Unit tests for the generic cache: geometry, lookup/fill/evict,
- * replacement policies (including parameterised policy sweeps) and MSHR
- * accounting.
+ * Unit tests for the generic cache: geometry, lookup/fill/evict, LRU
+ * replacement and MSHR accounting.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +16,7 @@ namespace
 {
 
 CacheParams
-smallCache(unsigned size_bytes = 1024, unsigned assoc = 2,
-           ReplPolicy repl = ReplPolicy::Lru)
+smallCache(unsigned size_bytes = 1024, unsigned assoc = 2)
 {
     CacheParams p;
     p.name = "test";
@@ -26,7 +24,6 @@ smallCache(unsigned size_bytes = 1024, unsigned assoc = 2,
     p.assoc = assoc;
     p.hitLatency = 2;
     p.mshrs = 2;
-    p.repl = repl;
     return p;
 }
 
@@ -94,17 +91,39 @@ TEST(Cache, LruEvictsLeastRecentlyUsed)
     EXPECT_EQ(c.peek(0x0200), nullptr);
 }
 
-TEST(Cache, FifoIgnoresTouches)
+TEST(Cache, LruVictimSequencePinned)
 {
+    // One 4-way set (256 B = 1 set x 4 ways x 64 B). Fills, hits,
+    // refills of a present line and peeks interleave; every fill into
+    // the full set must evict the least recently filled or hit line,
+    // and peeks and missing lookups must not count as uses. Pinned so
+    // any change to when a line's recency advances shows here.
     StatGroup g("g");
-    Cache c(smallCache(1024, 2, ReplPolicy::Fifo), &g);
-    c.fill(0x0000, CoherState::Shared);
-    c.fill(0x0200, CoherState::Shared);
-    c.lookup(0x0000); // touch does not matter for FIFO
-    Eviction ev;
-    c.fill(0x0400, CoherState::Shared, &ev);
-    ASSERT_TRUE(ev.valid);
-    EXPECT_EQ(ev.ptag, lineNum(0x0000)); // first in, first out
+    Cache c(smallCache(256, 4), &g);
+    ASSERT_EQ(c.numSets(), 1u);
+    enum class Op { Fill, Hit, Peek };
+    const std::vector<std::pair<Op, Addr>> ops = {
+        {Op::Fill, 0}, {Op::Fill, 1}, {Op::Fill, 2}, {Op::Fill, 3},
+        {Op::Hit, 0},  {Op::Peek, 1}, {Op::Fill, 4}, {Op::Fill, 2},
+        {Op::Fill, 5}, {Op::Hit, 4},  {Op::Peek, 0}, {Op::Peek, 0},
+        {Op::Fill, 6}, {Op::Hit, 2},  {Op::Fill, 7}, {Op::Hit, 5},
+        {Op::Fill, 6}, {Op::Fill, 1}, {Op::Fill, 8}};
+    std::vector<Addr> evicted;
+    for (const auto &[op, line] : ops) {
+        const Addr paddr = line * kLineBytes;
+        if (op == Op::Hit) {
+            c.lookup(paddr);
+        } else if (op == Op::Peek) {
+            c.peek(paddr);
+        } else {
+            Eviction ev;
+            c.fill(paddr, CoherState::Shared, &ev);
+            if (ev.valid)
+                evicted.push_back(ev.ptag);
+        }
+    }
+    EXPECT_EQ(evicted, (std::vector<Addr>{1, 3, 0, 5, 4, 2}));
+    EXPECT_EQ(c.evictions.value(), 6u);
 }
 
 TEST(Cache, RefillUpdatesStateWithoutEviction)
@@ -290,17 +309,10 @@ TEST(CacheDeath, FillInvalidPanics)
     EXPECT_DEATH(c.fill(0x1000, CoherState::Invalid), "Invalid");
 }
 
-// --- parameterised replacement-policy properties ---------------------------
-
-class ReplacementPolicyTest
-    : public ::testing::TestWithParam<ReplPolicy>
-{
-};
-
-TEST_P(ReplacementPolicyTest, VictimIsAlwaysInSet)
+TEST(Cache, VictimIsAlwaysInSet)
 {
     StatGroup g("g");
-    Cache c(smallCache(2048, 4, GetParam()), &g);
+    Cache c(smallCache(2048, 4), &g);
     // Fill far beyond capacity; every fill must succeed and the cache
     // must never exceed its capacity.
     for (Addr a = 0; a < 256 * kLineBytes; a += kLineBytes) {
@@ -310,10 +322,10 @@ TEST_P(ReplacementPolicyTest, VictimIsAlwaysInSet)
     EXPECT_EQ(c.validLineCount(), 32u);
 }
 
-TEST_P(ReplacementPolicyTest, HitAfterFillAlwaysWorks)
+TEST(Cache, HitAfterFillAlwaysWorks)
 {
     StatGroup g("g");
-    Cache c(smallCache(2048, 4, GetParam()), &g);
+    Cache c(smallCache(2048, 4), &g);
     for (Addr a = 0; a < 64 * kLineBytes; a += kLineBytes) {
         c.fill(a, CoherState::Shared);
         EXPECT_NE(c.lookup(a), nullptr)
@@ -321,50 +333,16 @@ TEST_P(ReplacementPolicyTest, HitAfterFillAlwaysWorks)
     }
 }
 
-TEST_P(ReplacementPolicyTest, WorkingSetWithinCapacityNeverEvicts)
+TEST(Cache, WorkingSetWithinCapacityNeverEvicts)
 {
     StatGroup g("g");
-    Cache c(smallCache(2048, 4, GetParam()), &g);
+    Cache c(smallCache(2048, 4), &g);
     // 8 sets * 4 ways; touch 8 distinct sets x 4 tags = exactly full.
     for (unsigned tag = 0; tag < 4; ++tag)
         for (unsigned set = 0; set < 8; ++set)
             c.fill((tag * 8 + set) * 64, CoherState::Shared);
     EXPECT_EQ(c.evictions.value(), 0u);
     EXPECT_EQ(c.validLineCount(), 32u);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementPolicyTest,
-                         ::testing::Values(ReplPolicy::Lru,
-                                           ReplPolicy::Fifo,
-                                           ReplPolicy::Random,
-                                           ReplPolicy::TreePlru),
-                         [](const auto &info) {
-                             return std::string(
-                                 replPolicyName(info.param)) == "tree-plru"
-                                        ? "TreePlru"
-                                        : replPolicyName(info.param);
-                         });
-
-TEST(TreePlru, RequiresPow2Ways)
-{
-    StatGroup g("g");
-    CacheParams p = smallCache(192 * 64, 3, ReplPolicy::TreePlru);
-    EXPECT_EXIT(Cache(p, &g), ::testing::ExitedWithCode(1),
-                "power-of-two");
-}
-
-TEST(TreePlru, RecentlyTouchedSurvives)
-{
-    StatGroup g("g");
-    Cache c(smallCache(512, 8, ReplPolicy::TreePlru), &g);
-    // One set (512 = 1 set x 8 ways x 64B).
-    for (unsigned i = 0; i < 8; ++i)
-        c.fill(i * 64, CoherState::Shared);
-    c.lookup(0);     // protect way holding line 0
-    Eviction ev;
-    c.fill(8 * 64, CoherState::Shared, &ev);
-    ASSERT_TRUE(ev.valid);
-    EXPECT_NE(ev.ptag, lineNum(0));
 }
 
 } // namespace

@@ -33,9 +33,8 @@ struct BusRig
             l1i.push_back(std::make_unique<Cache>(
                 CacheParams{strfmt("l1i%u", c), 4096, 2, 1, 4}, &root));
             if (with_filters) {
-                FilterCacheParams fp;
-                fp.name = strfmt("fd%u", c);
-                fd.push_back(std::make_unique<FilterCache>(fp, &root));
+                fd.push_back(std::make_unique<FilterCache>(
+                    CacheParams{strfmt("fd%u", c), 2048, 4, 1, 4}, &root));
             }
             BusNode n;
             n.l1d = l1d.back().get();

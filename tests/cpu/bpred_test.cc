@@ -12,12 +12,6 @@ namespace mtrap
 namespace
 {
 
-BranchPredictor
-makePred(StatGroup &g)
-{
-    return BranchPredictor(BranchPredictorParams{}, &g);
-}
-
 TEST(BranchPredictor, LearnsAlwaysTaken)
 {
     StatGroup g("g");

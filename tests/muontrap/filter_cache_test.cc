@@ -16,10 +16,10 @@ namespace mtrap
 namespace
 {
 
-FilterCacheParams
+CacheParams
 defaults()
 {
-    return FilterCacheParams{}; // 2KiB 4-way, paper Table 1
+    return MuonTrapConfig{}.dataParams; // 2KiB 4-way, paper Table 1
 }
 
 TEST(FilterCache, SpeculativeFillSetsUncommitted)
@@ -112,7 +112,7 @@ TEST(FilterCache, PhysicalInvalidateClearsValidBit)
 TEST(FilterCache, UncommittedEvictionCounted)
 {
     StatGroup g("g");
-    FilterCacheParams p = defaults();
+    CacheParams p = defaults();
     p.sizeBytes = 256; // 4 lines, 4-way: one set
     FilterCache f(p, &g);
     for (unsigned i = 0; i < 5; ++i)
@@ -124,7 +124,7 @@ TEST(FilterCache, UncommittedEvictionCounted)
 TEST(FilterCache, CommittedEvictionNotCountedAsUncommitted)
 {
     StatGroup g("g");
-    FilterCacheParams p = defaults();
+    CacheParams p = defaults();
     p.sizeBytes = 256;
     FilterCache f(p, &g);
     for (unsigned i = 0; i < 5; ++i)
@@ -272,7 +272,7 @@ class FilterGeometryTest : public ::testing::TestWithParam<GeomParam>
 TEST_P(FilterGeometryTest, FillLookupClearCycleWorks)
 {
     StatGroup g("g");
-    FilterCacheParams p;
+    CacheParams p = defaults();
     p.sizeBytes = GetParam().size;
     p.assoc = GetParam().assoc;
     FilterCache f(p, &g);

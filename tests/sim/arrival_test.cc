@@ -153,8 +153,9 @@ TEST(ArrivalSchedule, BurstPatternClustersArrivals)
     const auto events = generateArrivalSchedule(ap);
     // Within a burst, consecutive gaps are exactly burstSpacing.
     for (std::size_t i = 0; i < events.size(); ++i)
-        if (i % ap.burstSize != 0)
+        if (i % ap.burstSize != 0) {
             EXPECT_EQ(events[i].at - events[i - 1].at, ap.burstSpacing);
+        }
 }
 
 // --------------------------------------------------------- percentiles

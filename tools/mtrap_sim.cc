@@ -17,9 +17,9 @@
  *   --instructions N     measured instructions per core (default 100000)
  *   --warmup N           warmup instructions per core (default 30000)
  *   --seed S             nonzero: deterministically re-randomise the
- *                        workload generation and replacement seeds (the
- *                        same path harness jobs use); 0 = configured
- *                        seeds (default)
+ *                        synthetic program generation (the same path
+ *                        harness jobs use); 0 = the profiles' own seeds
+ *                        (default)
  *   --filter-size BYTES  data filter-cache size (default 2048)
  *   --filter-assoc N     data filter-cache associativity (default 4)
  *   --baseline           also run the unprotected baseline (same run
@@ -321,9 +321,8 @@ runTool(int argc, char **argv)
               "--arrival-mix)");
 
     // One source per mode: an open-system arrival stream, a gang-
-    // scheduled mix, or a single workload. --seed re-randomises both
-    // the synthetic program generation and (via RunOptions::seed) the
-    // structure replacement seeds.
+    // scheduled mix, or a single workload. --seed re-randomises the
+    // synthetic program generation.
     RunSource source;
     if (server) {
         source = ServerSource{arrivals, sched};
