@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "common/log.hh"
+
 namespace mtrap
 {
 
@@ -238,5 +240,26 @@ jsonNumberField(const JsonValue &v, const std::string &key,
     return f && f->kind == JsonValue::Kind::Number ? f->number : fallback;
 }
 
-} // namespace mtrap
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 8);
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += strfmt("\\u%04x", c);
+            else
+                out += c;
+        }
+    }
+    return out;
+}
 
+} // namespace mtrap

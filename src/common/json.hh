@@ -2,10 +2,9 @@
  * @file
  * Minimal JSON document model + recursive-descent parser: objects,
  * arrays, strings (the escapes our writers emit), numbers, booleans,
- * null. Originally private to the BENCH.json comparison gate; promoted
- * here once the trace validator became a second reader. Unknown keys
- * parse generically, so schemas can grow fields without breaking old
- * consumers.
+ * null. Unknown keys parse generically, so schemas can grow fields
+ * without breaking old consumers. Also the one string escaper every
+ * JSON writer in the tree uses.
  */
 
 #ifndef MTRAP_COMMON_JSON_HH
@@ -57,6 +56,10 @@ bool parseJson(const std::string &text, JsonValue &out, std::string &err);
 /** `v.field(key)` as a number, or `fallback` when absent/mistyped. */
 double jsonNumberField(const JsonValue &v, const std::string &key,
                        double fallback);
+
+/** Escape `s` for inclusion in a JSON string literal: quote, backslash
+ *  and every control character (U+0000-U+001F) are escaped. */
+std::string jsonEscape(const std::string &s);
 
 } // namespace mtrap
 

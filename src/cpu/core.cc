@@ -4,7 +4,6 @@
 
 #include "common/first_min.hh"
 #include "common/log.hh"
-#include "perf/odometer.hh"
 #include "sim/mem_system.hh"
 #include "snapshot/snapshot.hh"
 #include "trace/trace.hh"
@@ -103,11 +102,6 @@ Core::Core(CoreId id, const CoreParams &params, MemIface *mem,
         cap <<= 1;
     winBuf_.resize(cap);
     winMask_ = cap - 1;
-}
-
-Core::~Core()
-{
-    perf::SimOdometer::instance().add(committedEver_, fetchCycle_);
 }
 
 void

@@ -112,9 +112,6 @@ class Core
     Core(CoreId id, const CoreParams &params, MemIface *mem,
          StatGroup *parent);
 
-    /** Reports lifetime totals to the perf odometer. */
-    ~Core();
-
     CoreId id() const { return id_; }
     const CoreParams &params() const { return params_; }
     BranchPredictor &predictor() { return bpred_; }
@@ -155,8 +152,12 @@ class Core
     /** Cycle at which the last instruction committed. */
     Cycle lastCommitCycle() const { return lastCommitC_; }
 
-    /** Instructions committed since construction. */
+    /** Instructions committed since the last stat reset. */
     std::uint64_t committedCount() const { return committed.value(); }
+
+    /** Instructions committed since construction (or carried in by a
+     *  restored snapshot); stat resets leave it alone. */
+    std::uint64_t committedEver() const { return committedEver_; }
 
     /**
      * Fetch-execute one instruction (and retire anything that must leave
@@ -440,7 +441,7 @@ class Core
     Cycle commitSlotCycle_ = 0;
     unsigned commitsInSlot_ = 0;
     Cycle lastBranchDone_ = 0;
-    /** Lifetime commits, immune to stat resets (perf odometer). */
+    /** Lifetime commits, immune to stat resets (committedEver()). */
     std::uint64_t committedEver_ = 0;
 
     /** True only for the STT defences: everything else never produces a

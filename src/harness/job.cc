@@ -103,12 +103,4 @@ buildNamedWorkload(const std::string &name, std::uint64_t seed, Asid asid)
     fatal("unknown workload '%s' (try --list)", name.c_str());
 }
 
-std::uint64_t
-jobSeed(std::uint64_t sweep_seed, std::size_t index)
-{
-    if (!sweep_seed)
-        return 0;
-    return mixSeeds(sweep_seed, 0x6a09e667f3bcc909ull + index);
-}
-
 } // namespace mtrap::harness

@@ -4,8 +4,8 @@
  *
  * A JobSpec is one self-contained simulation: it carries a workload
  * factory (the workload is built inside the worker so expensive program
- * generation parallelises too), a full SystemConfig, run options with a
- * per-job deterministic seed, and presentation metadata (suite / row /
+ * generation parallelises too; a seeded sweep seeds it there), a full
+ * SystemConfig, run options, and presentation metadata (suite / row /
  * column) that the sweep renderers and the ResultStore use to place the
  * result. Jobs never share state, so results are identical no matter
  * how many threads execute them or in what order.
@@ -102,16 +102,12 @@ JobResult runJob(const JobSpec &job);
  * Build a bundled workload by name (SPEC-like or Parsec-like; fatal on
  * unknown names). A nonzero `seed` is mixed into the profile's
  * generation seed, re-randomising the synthetic program reproducibly —
- * the same path mtrap_sim --seed and harness jobs use. `asid` selects
- * the process's address space (multiprogrammed mixes give each job its
- * own).
+ * the same path mtrap_sim --seed and mtrap_batch --seed use. `asid`
+ * selects the process's address space (multiprogrammed mixes give each
+ * job its own).
  */
 Workload buildNamedWorkload(const std::string &name, std::uint64_t seed = 0,
                             Asid asid = 1);
-
-/** Per-job seed derived from a global sweep seed; 0 stays 0 so unseeded
- *  sweeps reproduce the legacy single-threaded results exactly. */
-std::uint64_t jobSeed(std::uint64_t sweep_seed, std::size_t index);
 
 } // namespace mtrap::harness
 

@@ -7,6 +7,8 @@
 #include <map>
 #include <sstream>
 
+#include "common/parse.hh"
+
 namespace mtrap::harness
 {
 
@@ -56,20 +58,6 @@ splitTabs(const std::string &line)
         out.push_back(line.substr(start, tab - start));
         start = tab + 1;
     }
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno || !end || *end)
-        return false;
-    out = v;
-    return true;
 }
 
 bool

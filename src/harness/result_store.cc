@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "sim/json_stats.hh"
+#include "common/json.hh"
 
 namespace mtrap::harness
 {

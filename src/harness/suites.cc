@@ -440,9 +440,7 @@ serverSuite(const RunOptions &opt, std::uint64_t seed)
             j.col = schemeName(scheme);
             const ArrivalParams ap =
                 serverArrivals(level, opt, seed, row_index);
-            RunOptions ro = opt;
-            ro.seed = jobSeed(seed, j.index);
-            j.custom = [ap, ro, scheme](const JobSpec &) {
+            j.custom = [ap, ro = opt, scheme](const JobSpec &) {
                 SchedParams sp;
                 sp.quantum = 20'000;
                 sp.affinity = true;

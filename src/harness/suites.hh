@@ -1,13 +1,13 @@
 /**
  * @file
- * The paper's experiment suites (figures 3-9 and the security matrix)
- * expressed as harness job lists plus renderers that reproduce the
- * legacy bench binaries' tables byte-for-byte.
+ * The paper's experiment suites (figures 3-9, the scheduling sweep, the
+ * security matrix and the open-system server sweep) expressed as
+ * harness job lists plus renderers for their tables.
  *
- * Both the per-figure bench binaries and the mtrap_batch CLI are thin
- * wrappers around buildSuite()/runSuite(): the benches render one
- * suite's table, mtrap_batch runs any subset (optionally sharded) and
- * archives the raw results through a ResultStore.
+ * mtrap_batch is a thin wrapper around buildSuite()/runSuite(): it runs
+ * any subset of the suites (optionally sharded), renders their tables
+ * and archives the raw results through a ResultStore; the golden tests
+ * pin those artifacts byte for byte.
  */
 
 #ifndef MTRAP_HARNESS_SUITES_HH
@@ -30,7 +30,7 @@ struct Suite
     std::string name;
     std::vector<JobSpec> jobs;
 
-    /** Build the legacy table from the full result set. */
+    /** Build the suite's table from the full result set. */
     std::function<ReportTable(const std::vector<JobResult> &)> render;
     /**
      * Post-table pass/fail hook (the security matrix's LEAK check);
@@ -40,11 +40,11 @@ struct Suite
     std::function<int(const std::vector<JobResult> &, std::ostream &)>
         verdict;
 
-    /** Echo a CSV block after the table (legacy emit() behaviour; the
-     *  security matrix prints its table without one). */
+    /** Echo a CSV block after the table (the security matrix prints
+     *  its table without one). */
     bool emitCsv = true;
-    /** Legacy progress lines group by row (workload) or by column
-     *  (scheme, for the security matrix). */
+    /** "<suite>: <group> done" progress lines group by row (workload)
+     *  or by column (scheme, for the security matrix). */
     bool progressByCol = false;
 };
 
@@ -52,8 +52,9 @@ struct Suite
  *  the open-system server sweep. */
 const std::vector<std::string> &suiteNames();
 
-/** Build one suite (fatal on unknown name). `seed` = 0 reproduces the
- *  legacy serial benches exactly. */
+/** Build one suite (fatal on unknown name). A nonzero `seed` is mixed
+ *  into every workload's generation seed (and the server suite's
+ *  arrival seeds); 0 reproduces the unseeded results exactly. */
 Suite buildSuite(const std::string &name, const RunOptions &opt,
                  std::uint64_t seed = 0);
 
@@ -83,7 +84,7 @@ struct SuiteRunOptions
 };
 
 /**
- * Run `suite` on `pool`: emits the legacy "<suite>: <group> done"
+ * Run `suite` on `pool`: emits the "<suite>: <group> done"
  * progress lines on stderr as row/column groups complete, renders the
  * table (and verdict) to stdout when `render_table`, and moves the raw
  * results into `store` when non-null. Returns the suite's exit code

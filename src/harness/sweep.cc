@@ -172,7 +172,6 @@ SweepBuilder::build() const
         }
         j.configName = config_name;
         j.opt = opt_;
-        j.opt.seed = jobSeed(seed_, j.index);
         if (kind != "baseline")
             j.collect = collect_;
         jobs.push_back(std::move(j));

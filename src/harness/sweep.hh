@@ -5,9 +5,11 @@
  * flat JobSpec list for the ExperimentPool.
  *
  * Expansion order is row-major with the optional baseline first in each
- * row, which is exactly the order the legacy serial benches executed
- * in; job indices (and therefore per-job seeds and ResultStore order)
- * are assigned in that order.
+ * row; job indices (and therefore shard membership and ResultStore
+ * order) are assigned in that order. Every job of a row runs the same
+ * workload: the sweep seed is mixed into each workload's generation
+ * seed, never into a per-job one, so jobs that share a configuration
+ * share a warm snapshot too.
  */
 
 #ifndef MTRAP_HARNESS_SWEEP_HH
@@ -27,9 +29,10 @@ class SweepBuilder
   public:
     explicit SweepBuilder(std::string suite);
 
-    /** Run lengths shared by every job (seed is set per job). */
+    /** Run options shared by every job. */
     SweepBuilder &options(const RunOptions &opt);
-    /** Global sweep seed; 0 (default) reproduces legacy results. */
+    /** Sweep seed, mixed into every workload's generation seed; 0
+     *  (default) keeps the profiles' own seeds. */
     SweepBuilder &seed(std::uint64_t s);
 
     /** Append one row per bundled workload name (SPEC or Parsec). */

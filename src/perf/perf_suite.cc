@@ -9,8 +9,7 @@
 #endif
 
 #include "common/log.hh"
-#include "perf/odometer.hh"
-#include "sim/json_stats.hh"
+#include "common/json.hh"
 #include "sim/runner.hh"
 #include "sim/scheduler.hh"
 #include "workload/attacks.hh"
@@ -43,6 +42,19 @@ peakRssBytes()
 #endif
 }
 
+/** Lifetime work of every core in `sys`; taken just before the system
+ *  is destroyed. */
+SimWork
+workOf(System &sys)
+{
+    SimWork w;
+    for (CoreId c = 0; c < sys.numCores(); ++c) {
+        w.instructions += sys.core(c).committedEver();
+        w.cycles += sys.core(c).now();
+    }
+    return w;
+}
+
 RunOptions
 runOptionsFor(const PerfOptions &opt)
 {
@@ -62,13 +74,14 @@ schemeScenario(std::string name, std::string description,
     s.description = std::move(description);
     s.body = [workload = std::move(workload),
               scheme](const PerfOptions &opt) {
-        (void)run({SystemConfig::forScheme(scheme), workload(),
-                   runOptionsFor(opt), schemeName(scheme)});
+        return workOf(*run({SystemConfig::forScheme(scheme), workload(),
+                            runOptionsFor(opt), schemeName(scheme)})
+                           .system);
     };
     return s;
 }
 
-void
+SimWork
 contextSwitchBody(const PerfOptions &opt)
 {
     SystemConfig cfg = SystemConfig::forScheme(Scheme::MuonTrap, 1);
@@ -90,6 +103,7 @@ contextSwitchBody(const PerfOptions &opt)
     sched.addTask(&w3.threadPrograms[0], 3);
     sched.addTask(&w4.threadPrograms[0], 4);
     sched.run(opt.measureInstructions + opt.warmupInstructions);
+    return workOf(sys);
 }
 
 /**
@@ -98,7 +112,7 @@ contextSwitchBody(const PerfOptions &opt)
  * so the run mixes steady-state simulation with constant migration /
  * filter-flush pressure — the paper's §6 time-sharing scenario.
  */
-void
+SimWork
 schedGangSpecMixBody(const PerfOptions &opt)
 {
     SystemConfig cfg = SystemConfig::forScheme(Scheme::MuonTrap, 4);
@@ -115,6 +129,7 @@ schedGangSpecMixBody(const PerfOptions &opt)
             buildWorkload(specProfile(name), asid++));
     sys.runScheduled(
         (opt.measureInstructions + opt.warmupInstructions) * 4);
+    return workOf(sys);
 }
 
 /**
@@ -122,7 +137,7 @@ schedGangSpecMixBody(const PerfOptions &opt)
  * on the same four cores, so every quantum boundary context-switches
  * the whole machine (drain + speculative-buffer clear on all cores).
  */
-void
+SimWork
 schedTimesharedParsecBody(const PerfOptions &opt)
 {
     SystemConfig cfg =
@@ -137,6 +152,7 @@ schedTimesharedParsecBody(const PerfOptions &opt)
         buildWorkload(parsecProfile("streamcluster", 4), 2));
     sys.runScheduled(
         (opt.measureInstructions + opt.warmupInstructions) * 4);
+    return workOf(sys);
 }
 
 /**
@@ -148,11 +164,11 @@ schedTimesharedParsecBody(const PerfOptions &opt)
  * scenario the perf-regression gate watches for construction-cost
  * regressions.
  */
-void
+SimWork
 systemConstructChurnBody(const PerfOptions &opt)
 {
-    // Enough per-system work to register on the odometer while leaving
-    // the run construction-dominated.
+    // Enough per-system work to register as simulation work while
+    // leaving the run construction-dominated.
     constexpr std::uint64_t kSlice = 400;
     const unsigned systems = opt.quick ? 16 : 96;
     const Scheme schemes[] = {Scheme::MuonTrap, Scheme::Baseline,
@@ -161,13 +177,16 @@ systemConstructChurnBody(const PerfOptions &opt)
     // One workload, reused: program generation is not what this
     // scenario measures.
     const Workload w = buildSpecWorkload("gcc");
+    SimWork work;
     for (unsigned n = 0; n < systems; ++n) {
         SystemConfig cfg =
             SystemConfig::forScheme(schemes[n % 4], 1);
         System sys(cfg);
         sys.loadWorkload(w);
         sys.run(kSlice);
+        work += workOf(sys);
     }
+    return work;
 }
 
 /**
@@ -180,7 +199,7 @@ systemConstructChurnBody(const PerfOptions &opt)
  * also asserts the forks observe identical machines (same makespan),
  * so a perf run can never bless a snapshot layer that drifted.
  */
-void
+SimWork
 snapshotWarmForkBody(const PerfOptions &opt)
 {
     constexpr std::uint64_t kCtx = 1;
@@ -191,6 +210,7 @@ snapshotWarmForkBody(const PerfOptions &opt)
     warm.loadWorkload(w);
     warm.run(opt.warmupInstructions);
     const std::vector<std::uint8_t> image = warm.saveSnapshot(kCtx);
+    SimWork work = workOf(warm);
 
     const unsigned forks = opt.quick ? 2 : 6;
     const std::uint64_t slice = opt.measureInstructions / 8 + 1;
@@ -200,12 +220,14 @@ snapshotWarmForkBody(const PerfOptions &opt)
         sys.loadWorkload(w);
         sys.restoreSnapshot(image, kCtx);
         sys.run(slice);
+        work += workOf(sys);
         if (n == 0)
             makespan = sys.maxCommitCycle();
         else if (sys.maxCommitCycle() != makespan)
             throw std::runtime_error(
                 "snapshot warm-fork: forked runs diverged");
     }
+    return work;
 }
 
 /**
@@ -218,7 +240,7 @@ snapshotWarmForkBody(const PerfOptions &opt)
  * completes, so a perf run can never bless a scheduler that strands
  * work.
  */
-void
+SimWork
 serverBody(const PerfOptions &opt, ArrivalPattern pattern)
 {
     ArrivalParams ap;
@@ -239,9 +261,10 @@ serverBody(const PerfOptions &opt, ArrivalPattern pattern)
     if (out.report.completed != ap.jobs)
         throw std::runtime_error("server scenario: not every admitted "
                                  "job completed");
+    return workOf(*out.system);
 }
 
-void
+SimWork
 attackVignetteBody(const PerfOptions &opt)
 {
     // The headline prime-and-probe vignette, on both sides of the fence.
@@ -250,6 +273,7 @@ attackVignetteBody(const PerfOptions &opt)
     // build. A single pair takes well under a millisecond, so full mode
     // runs a few to keep the wall-clock sample meaningful.
     const unsigned iters = opt.quick ? 1 : 3;
+    SimWork work;
     for (unsigned i = 0; i < iters; ++i) {
         AttackOutcome base = runSpectrePrimeProbe(Scheme::Baseline);
         if (!base.leaked)
@@ -258,7 +282,10 @@ attackVignetteBody(const PerfOptions &opt)
         AttackOutcome mt = runSpectrePrimeProbe(Scheme::MuonTrap);
         if (mt.leaked)
             throw std::runtime_error("attack vignette: MuonTrap leaked");
+        for (const AttackOutcome *o : {&base, &mt})
+            work += {o->simInstructions, o->simCycles};
     }
+    return work;
 }
 
 } // namespace
@@ -371,7 +398,7 @@ defaultScenarios()
         "into four gang-scheduled MuonTrap cores (weighted quanta, "
         "deadlines, cache-affinity migration)";
     poisson.body = [](const PerfOptions &o) {
-        serverBody(o, ArrivalPattern::Poisson);
+        return serverBody(o, ArrivalPattern::Poisson);
     };
     s.push_back(std::move(poisson));
 
@@ -382,7 +409,7 @@ defaultScenarios()
         "as the Poisson scenario delivered in batches (queue build-up, "
         "heavy migration and admission churn)";
     burst.body = [](const PerfOptions &o) {
-        serverBody(o, ArrivalPattern::Burst);
+        return serverBody(o, ArrivalPattern::Burst);
     };
     s.push_back(std::move(burst));
 
@@ -402,7 +429,6 @@ runScenarios(const std::vector<PerfScenario> &scenarios,
              const PerfOptions &opt, std::ostream *progress)
 {
     using Clock = std::chrono::steady_clock;
-    SimOdometer &odo = SimOdometer::instance();
 
     std::vector<ScenarioResult> results;
     results.reserve(scenarios.size());
@@ -413,11 +439,10 @@ runScenarios(const std::vector<PerfScenario> &scenarios,
 
         const unsigned reps = opt.repeats ? opt.repeats : 1;
         for (unsigned rep = 0; rep < reps && r.ok; ++rep) {
-            const std::uint64_t i0 = odo.instructions();
-            const std::uint64_t c0 = odo.cycles();
             const auto t0 = Clock::now();
+            SimWork work;
             try {
-                sc.body(opt);
+                work = sc.body(opt);
             } catch (const std::exception &e) {
                 r.ok = false;
                 r.error = e.what();
@@ -425,12 +450,10 @@ runScenarios(const std::vector<PerfScenario> &scenarios,
             }
             const double wall =
                 std::chrono::duration<double>(Clock::now() - t0).count();
-            const std::uint64_t instr = odo.instructions() - i0;
-            const std::uint64_t cycles = odo.cycles() - c0;
             if (rep == 0 || wall < r.wallSeconds) {
                 r.wallSeconds = wall;
-                r.instructions = instr;
-                r.simCycles = cycles;
+                r.instructions = work.instructions;
+                r.simCycles = work.cycles;
             }
         }
 

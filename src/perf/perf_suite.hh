@@ -8,10 +8,10 @@
  * defence family, scheduler-driven workloads (single-core round-robin,
  * a 4-core gang-scheduled SPEC mix, and a time-shared PARSEC pair), and
  * the headline attack vignette. The harness times each scenario's wall
- * clock, reads the simulation-work odometer around it, and reports
- * simulated cycles/second and committed instructions/second per
+ * clock, takes the simulation work the scenario body reports, and
+ * reports simulated cycles/second and committed instructions/second per
  * scenario plus an aggregate score — the number every hot-path
- * optimisation PR must move.
+ * optimisation must move.
  *
  * BENCH.json schema (schema tag "mtrap-bench-v1"):
  * {
@@ -71,14 +71,31 @@ struct PerfOptions
     static PerfOptions quickPreset();
 };
 
+/** Simulation work done by one scenario iteration, summed over the
+ *  cores of every system it built. */
+struct SimWork
+{
+    /** Instructions committed over each core's lifetime. */
+    std::uint64_t instructions = 0;
+    /** Sum of per-core final clocks (core-cycles, not makespan). */
+    std::uint64_t cycles = 0;
+
+    SimWork &operator+=(const SimWork &o)
+    {
+        instructions += o.instructions;
+        cycles += o.cycles;
+        return *this;
+    }
+};
+
 /** One benchmark scenario: a named body that does simulation work. */
 struct PerfScenario
 {
     std::string name;
     std::string description;
-    /** Runs one full iteration of the scenario's simulation work.
-     *  Throws (or fatals) on failure. */
-    std::function<void(const PerfOptions &)> body;
+    /** Runs one full iteration of the scenario's simulation work and
+     *  returns that work. Throws (or fatals) on failure. */
+    std::function<SimWork(const PerfOptions &)> body;
 };
 
 /** Timing outcome of one scenario. */

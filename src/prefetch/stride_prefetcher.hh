@@ -4,8 +4,9 @@
  *
  * In an unprotected system the prefetcher trains on every access as it
  * executes — including speculative, wrong-path ones, which is the leak
- * exploited by the paper's attack 5. Under MuonTrap, training events
- * arrive only through the PrefetchCommitChannel, in commit order.
+ * exploited by the paper's attack 5. Under MuonTrap's commit-ordered
+ * prefetching (§4.6), MemSystem trains it only when a filter line
+ * filled from the L2 or memory commits, in commit order.
  */
 
 #ifndef MTRAP_PREFETCH_STRIDE_PREFETCHER_HH

@@ -16,9 +16,6 @@
 namespace mtrap
 {
 
-/** Escape a string for inclusion in JSON. */
-std::string jsonEscape(const std::string &s);
-
 /**
  * Emit every stat reachable from `group` as a flat JSON object keyed by
  * dotted path ("system.core0.committed": "120000", ...). Values are the

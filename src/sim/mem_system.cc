@@ -47,8 +47,6 @@ MemSystem::MemSystem(const MemSystemParams &params, StatGroup *parent)
     if (params_.l2PrefetcherEnabled) {
         prefetcher_ = std::make_unique<StridePrefetcher>(
             params_.prefetcher, bus_.get(), &stats_);
-        channel_ = std::make_unique<PrefetchCommitChannel>(
-            prefetcher_.get(), &stats_);
     }
 
     for (CoreId c = 0; c < params_.cores; ++c) {
@@ -130,8 +128,6 @@ MemSystem::saveState(Serializer &s) const
     l2_->saveState(s);
     if (prefetcher_)
         prefetcher_->saveState(s);
-    if (channel_)
-        channel_->saveState(s);
     for (CoreId c = 0; c < params_.cores; ++c) {
         l1d_[c]->saveState(s);
         l1i_[c]->saveState(s);
@@ -149,8 +145,6 @@ MemSystem::restoreState(Deserializer &d)
     l2_->restoreState(d);
     if (prefetcher_)
         prefetcher_->restoreState(d);
-    if (channel_)
-        channel_->restoreState(d);
     for (CoreId c = 0; c < params_.cores; ++c) {
         l1d_[c]->restoreState(d);
         l1i_[c]->restoreState(d);
@@ -467,15 +461,18 @@ MemSystem::commitFilterLine(CoreId core, CacheLine &line, Addr paddr,
     if (!l2_->peek(paddr))
         l2_->fill(paddr, CoherState::Shared);
 
-    // Commit-ordered prefetcher training (§4.6).
-    if (channel_ && params_.mt.commitPrefetch) {
-        PrefetchNotify n;
-        n.pc = pc;
-        n.paddr = paddr;
-        n.fillLevel = line.fillLevel;
-        channel_->notifyCommit(n);
-        channel_->drain();
-    }
+    trainAtCommit(pc, paddr, line.fillLevel);
+}
+
+void
+MemSystem::trainAtCommit(Addr pc, Addr paddr, unsigned fill_level)
+{
+    // Commit-ordered prefetcher training (§4.6): only levels backed by
+    // a prefetcher are notified. In the Table-1 system that is the L2,
+    // which also trains on memory fills (the prefetched data lands
+    // there); the L1 has none.
+    if (prefetcher_ && params_.mt.commitPrefetch && fill_level >= 2)
+        prefetcher_->train(pc, paddr);
 }
 
 void
@@ -509,14 +506,7 @@ MemSystem::commitData(CoreId core, Asid asid, Addr vaddr, Addr pc,
             fillL1(*side_[core].l1d, paddr,
                    so.wouldBeExclusive ? CoherState::Exclusive
                                        : CoherState::Shared);
-            if (channel_ && params_.mt.commitPrefetch) {
-                PrefetchNotify n;
-                n.pc = pc;
-                n.paddr = paddr;
-                n.fillLevel = static_cast<std::uint8_t>(so.serviceLevel);
-                channel_->notifyCommit(n);
-                channel_->drain();
-            }
+            trainAtCommit(pc, paddr, so.serviceLevel);
         }
         if (is_store) {
             // Commit-time exclusive upgrade + write-through (§4.2/§4.5).
@@ -664,19 +654,7 @@ MemSystem::dataProbe(CoreId core, Asid asid, Addr vaddr, Cycle when)
 
     Cache &l1 = *side_[core].l1d;
     lat += l1.params().hitLatency;
-    if (l1.peek(paddr))
-        return lat;
-
-    lat += params_.bus.transactionLatency;
-    if (bus_->remoteHoldsExclusive(core, paddr)) {
-        lat += params_.bus.remoteSupplyLatency;
-        return lat;
-    }
-    lat += l2_->params().hitLatency;
-    if (l2_->peek(paddr))
-        return lat;
-    lat += params_.mem.rowMissLatency;
-    return lat;
+    return l1.peek(paddr) ? lat : lat + probeBelowL1(core, paddr);
 }
 
 bool
@@ -705,25 +683,12 @@ MemSystem::timeProbe(CoreId core, Asid asid, Addr vaddr)
         lat += fd->params().hitLatency;
         // The probe sees what the *CPU side* would see: a virtual-tag
         // match with the valid bit set.
-        if (CacheLine *l = fd->lookupVirt(asid, vaddr, paddr)) {
-            (void)l;
+        if (fd->lookupVirt(asid, vaddr, paddr))
             return lat;
-        }
     }
     Cache &l1 = *side_[core].l1d;
     lat += l1.params().hitLatency;
-    if (l1.peek(paddr))
-        return lat;
-    lat += params_.bus.transactionLatency;
-    if (bus_->remoteHoldsExclusive(core, paddr)) {
-        lat += params_.bus.remoteSupplyLatency;
-        return lat;
-    }
-    lat += l2_->params().hitLatency;
-    if (l2_->peek(paddr))
-        return lat;
-    lat += params_.mem.rowMissLatency;
-    return lat;
+    return l1.peek(paddr) ? lat : lat + probeBelowL1(core, paddr);
 }
 
 Cycle
@@ -737,19 +702,21 @@ MemSystem::timeStoreProbe(CoreId core, Asid asid, Addr vaddr)
     if (own && (own->state == CoherState::Modified ||
                 own->state == CoherState::Exclusive))
         return lat;
-    // Shared or absent: an exclusive upgrade is needed.
-    lat += params_.bus.transactionLatency;
+    // Shared (an upgrade of the present line) or absent: an exclusive
+    // request on the bus is needed.
     if (own)
-        return lat; // upgrade of a present S line
-    if (bus_->remoteHoldsExclusive(core, paddr)) {
-        lat += params_.bus.remoteSupplyLatency;
-        return lat;
-    }
+        return lat + params_.bus.transactionLatency;
+    return lat + probeBelowL1(core, paddr);
+}
+
+Cycle
+MemSystem::probeBelowL1(CoreId core, Addr paddr)
+{
+    Cycle lat = params_.bus.transactionLatency;
+    if (bus_->remoteHoldsExclusive(core, paddr))
+        return lat + params_.bus.remoteSupplyLatency;
     lat += l2_->params().hitLatency;
-    if (l2_->peek(paddr))
-        return lat;
-    lat += params_.mem.rowMissLatency;
-    return lat;
+    return l2_->peek(paddr) ? lat : lat + params_.mem.rowMissLatency;
 }
 
 Cycle

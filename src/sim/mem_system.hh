@@ -25,7 +25,6 @@
 #include "defense/invisispec.hh"
 #include "mem/memory.hh"
 #include "muontrap/controller.hh"
-#include "prefetch/commit_channel.hh"
 #include "prefetch/stride_prefetcher.hh"
 #include "tlb/tlb.hh"
 #include "tlb/walker.hh"
@@ -122,7 +121,6 @@ class MemSystem final : public MemIface, public PtwAccessIface
     Tlb &itlb(CoreId c) { return *itlb_.at(c); }
     MuonTrapCore &muontrap(CoreId c) { return *mt_.at(c); }
     StridePrefetcher *prefetcher() { return prefetcher_.get(); }
-    PrefetchCommitChannel *commitChannel() { return channel_.get(); }
 
     /** Route memory-side trace hooks (bus, MuonTrap filters, spec
      *  buffers) into `tracer`; null detaches. */
@@ -146,7 +144,7 @@ class MemSystem final : public MemIface, public PtwAccessIface
 
     /**
      * Checkpoint the whole hierarchy: main memory word store, L2,
-     * prefetcher + commit channel (when enabled), then per core the
+     * prefetcher (when enabled), then per core the
      * L1s, TLBs, MuonTrap filters and spec buffer. The bus and walkers
      * hold no mutable state beyond statistics. The functional word
      * caches are observably transparent (miss and hit return the same
@@ -188,10 +186,20 @@ class MemSystem final : public MemIface, public PtwAccessIface
     CacheLine &fillL1(Cache &l1, Addr paddr, CoherState st);
 
     /** Commit one filter line: set the committed bit, write through to
-     *  the L1 (honouring SE), mirror into the L2, and notify the
-     *  prefetch commit channel. */
+     *  the L1 (honouring SE), mirror into the L2, and train the L2
+     *  prefetcher (trainAtCommit). */
     void commitFilterLine(CoreId core, CacheLine &line, Addr paddr,
                           Addr pc, Cycle when);
+
+    /** Commit-ordered prefetcher training (§4.6): under
+     *  MuonTrapConfig::commitPrefetch, a committed line filled from the
+     *  L2 or memory (`fill_level` >= 2) trains the L2 prefetcher. */
+    void trainAtCommit(Addr pc, Addr paddr, unsigned fill_level);
+
+    /** Latency a probe adds below an L1D miss: a bus transaction, then
+     *  a remote exclusive owner's supply, an L2 hit or a DRAM row miss.
+     *  Touches nothing (the probes' shared tail). */
+    Cycle probeBelowL1(CoreId core, Addr paddr);
 
     /** Baseline (no-L0) data walk. */
     DataAccessResult baselineDataAccess(CoreId core, Asid asid, Addr paddr,
@@ -210,7 +218,6 @@ class MemSystem final : public MemIface, public PtwAccessIface
     std::unique_ptr<Cache> l2_;
     std::unique_ptr<CoherenceBus> bus_;
     std::unique_ptr<StridePrefetcher> prefetcher_;
-    std::unique_ptr<PrefetchCommitChannel> channel_;
 
     /**
      * Raw per-core component pointers for the access hot paths: one

@@ -42,6 +42,7 @@ mixWorkload(Fingerprint &fp, const Workload &w)
 {
     fp.mix(w.name);
     fp.mix(w.asid);
+    fp.mix(w.seed);
     fp.mix(w.threads());
 }
 
@@ -87,7 +88,6 @@ contextFingerprint(const RunSpec &spec)
         mixSched(fp, server.sched);
     }
     const RunOptions &opt = spec.opt;
-    fp.mix(opt.seed);
     fp.mix(opt.warmupInstructions);
     fp.mix(opt.trace ? 1 : 0);
     if (opt.trace)

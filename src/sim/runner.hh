@@ -30,20 +30,11 @@ namespace mtrap
 inline constexpr std::uint64_t kDefaultWarmupInstructions = 30'000;
 inline constexpr std::uint64_t kDefaultMeasureInstructions = 100'000;
 
-/** Run lengths and reproducibility knobs for one measured run. */
+/** Run lengths and observation knobs for one measured run. */
 struct RunOptions
 {
     std::uint64_t warmupInstructions = kDefaultWarmupInstructions;
     std::uint64_t measureInstructions = kDefaultMeasureInstructions;
-    /**
-     * Experiment seed of the workload(s) this run was built from
-     * (mtrap_sim --seed, harness per-job seeds). It changes no
-     * simulated result: the seed reaches the programs when they are
-     * generated, before run(). run() only mixes it into the context
-     * fingerprint so differently seeded workloads never share a warm
-     * snapshot.
-     */
-    std::uint64_t seed = 0;
 
     /**
      * Attach a Tracer (see trace/trace.hh) to the system before the

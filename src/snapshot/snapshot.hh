@@ -54,8 +54,10 @@ class SnapshotError : public std::runtime_error
 /** Current snapshot format version; bump on any layout change.
  *  v2: scheduler Task/CoreState gained the open-system fields (service
  *  accounting, arrival/finish stamps, weights, sleep state, busy
- *  cycles). */
-constexpr std::uint32_t kSnapshotFormatVersion = 2;
+ *  cycles).
+ *  v3: the memory-system section lost the prefetch commit channel's
+ *  (always empty) queue, and the stats section its stat sheet. */
+constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /** Section tags, one per top-level component (fixed save order). */
 enum SnapshotTag : std::uint32_t {

@@ -16,25 +16,6 @@ namespace mtrap
 namespace
 {
 
-/** Escape a string for inclusion in a JSON string literal. */
-std::string
-jsonEscaped(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default: out.push_back(c);
-        }
-    }
-    return out;
-}
-
 /** One rendered trace-event JSON object with its track sort key. */
 struct Emitted
 {
@@ -57,7 +38,7 @@ spanEvent(CoreId core, Cycle start, Cycle end, const std::string &name,
     Emitted e;
     e.tid = core;
     e.ts = start;
-    e.json = "{\"name\":\"" + jsonEscaped(name)
+    e.json = "{\"name\":\"" + jsonEscape(name)
              + "\",\"ph\":\"X\",\"pid\":0,\"tid\":" + u64(core)
              + ",\"ts\":" + u64(start)
              + ",\"dur\":" + u64(end > start ? end - start : 0);

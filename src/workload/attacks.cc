@@ -341,6 +341,8 @@ runAttack(AttackFn self, Scheme s, const MuonTrapConfig *mt_override,
 {
     unsigned rec[2] = {255, 255};
     Probes p{0, 0};
+    std::uint64_t instructions = 0;
+    Cycle cycles = 0;
     for (std::uint64_t secret = 0; secret < 2; ++secret) {
         SystemConfig sys_cfg = SystemConfig::forScheme(s, a.cores);
         if (mt_override)
@@ -380,11 +382,16 @@ runAttack(AttackFn self, Scheme s, const MuonTrapConfig *mt_override,
         // 4. The attacker times its two targets.
         p = a.probe(sys, secret);
         rec[secret] = a.decide(p[0], p[1], a.threshold);
+        for (CoreId c = 0; c < sys.numCores(); ++c) {
+            instructions += sys.core(c).committedEver();
+            cycles += sys.core(c).now();
+        }
     }
     return {.attack = attackName(self), .scheme = schemeName(s),
             .leaked = (rec[0] == 0 && rec[1] == 1),
             .recovered0 = rec[0], .recovered1 = rec[1],
-            .probe0Time = p[0], .probe1Time = p[1], .detail = a.detail};
+            .probe0Time = p[0], .probe1Time = p[1], .detail = a.detail,
+            .simInstructions = instructions, .simCycles = cycles};
 }
 
 /** Run a prime-and-probe attack on core 0 (1, 2, 9, 10): the attacker

@@ -51,6 +51,10 @@ struct AttackOutcome
     Cycle probe0Time = 0;
     Cycle probe1Time = 0;
     std::string detail;
+    /** Simulation work of both runs: instructions committed and final
+     *  clocks, summed over every core of each run's system. */
+    std::uint64_t simInstructions = 0;
+    Cycle simCycles = 0;
 };
 
 /**

@@ -379,6 +379,7 @@ buildWorkload(const WorkloadProfile &profile, Asid asid)
     Workload w;
     w.name = profile.name;
     w.asid = asid;
+    w.seed = profile.seed;
     for (unsigned t = 0; t < std::max(1u, profile.threads); ++t)
         w.threadPrograms.push_back(buildThreadProgram(profile, t));
     WorkloadProfile p = profile;

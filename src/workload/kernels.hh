@@ -100,6 +100,9 @@ struct Workload
 {
     std::string name;
     Asid asid = 1;
+    /** Generation seed of the profile the programs were built from
+     *  (WorkloadProfile::seed); runs key warm snapshots on it. */
+    std::uint64_t seed = 0;
     std::vector<Program> threadPrograms;
     /** Pre-run functional memory initialisation (chase chains etc.). */
     std::function<void(MemSystem &)> init;

@@ -1,18 +1,23 @@
 /**
  * @file
  * Tests for the parallel experiment harness: thread-count invariance
- * (the determinism contract), shard coverage, sweep expansion, per-job
- * seeding, cancellation, and ResultStore serialisation.
+ * (the determinism contract), shard coverage, sweep expansion, warm
+ * snapshots keyed on seeded workloads, cancellation, and ResultStore
+ * serialisation.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <variant>
 
+#include "harness/manifest.hh"
 #include "harness/pool.hh"
 #include "harness/result_store.hh"
 #include "harness/suites.hh"
@@ -97,26 +102,48 @@ TEST(SweepBuilder, ExpandsRowMajorWithBaselineFirst)
     EXPECT_EQ(jobs[2].col, "STT-Spectre");
     EXPECT_EQ(jobs[3].row, "povray");
     EXPECT_EQ(jobs[3].kind, "baseline");
-
-    // Unseeded sweeps must reproduce legacy results: job seeds stay 0.
-    for (const JobSpec &j : jobs)
-        EXPECT_EQ(j.opt.seed, 0u);
 }
 
-TEST(SweepBuilder, SeededSweepGetsDistinctPerJobSeeds)
+/** A fresh, empty directory under the gtest temp dir. */
+std::string
+freshDir(const std::string &name)
 {
-    const std::vector<JobSpec> jobs = smallSweep(1234);
-    std::set<std::uint64_t> seeds;
-    for (const JobSpec &j : jobs) {
-        EXPECT_NE(j.opt.seed, 0u);
-        seeds.insert(j.opt.seed);
-    }
-    EXPECT_EQ(seeds.size(), jobs.size()); // all distinct
+    const std::string dir = ::testing::TempDir() + name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
 
-    // And the derivation is deterministic.
-    const std::vector<JobSpec> again = smallSweep(1234);
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(jobs[i].opt.seed, again[i].opt.seed);
+std::size_t
+fileCount(const std::string &dir)
+{
+    std::size_t n = 0;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        n += e.is_regular_file();
+    return n;
+}
+
+TEST(SweepBuilder, SeededJobsWithSameConfigShareWarmSnapshot)
+{
+    // Two columns of one seeded row: same configuration, same workload,
+    // so the second job must restore the first one's warm machine.
+    RunOptions opt = quick();
+    opt.warmSnapshotDir = freshDir("mtrap_sweep_warm");
+    const SystemConfig cfg = SystemConfig::forScheme(Scheme::MuonTrap, 1);
+    const std::vector<JobSpec> jobs = SweepBuilder("warm")
+                                          .options(opt)
+                                          .seed(1234)
+                                          .workloads({"bzip2"})
+                                          .config("a", "MuonTrap", cfg)
+                                          .config("b", "MuonTrap", cfg)
+                                          .build();
+    ASSERT_EQ(jobs.size(), 2u);
+    const std::vector<JobResult> rs = ExperimentPool(1).run(jobs);
+    ASSERT_TRUE(rs[0].ok) << rs[0].error;
+    ASSERT_TRUE(rs[1].ok) << rs[1].error;
+    EXPECT_EQ(rs[0].run.cycles, rs[1].run.cycles);
+    EXPECT_EQ(fileCount(opt.warmSnapshotDir), 1u);
+    std::filesystem::remove_all(opt.warmSnapshotDir);
 }
 
 TEST(ExperimentPool, EightWorkersMatchOneWorkerExactly)
@@ -368,19 +395,83 @@ TEST(ServerSuite, ResumeProducesByteIdenticalArtifact)
     std::remove(manifest.c_str());
 }
 
+TEST(ResumeManifest, NonCanonicalIndexIsSkippedAndItsJobReruns)
+{
+    // Four cheap jobs; the manifest holds a good record for job 0 and
+    // records whose index is not a plain decimal ("-1", "+3", " 2").
+    // Only job 0 may be skipped.
+    std::atomic<unsigned> runs{0};
+    Suite suite;
+    suite.name = "resume";
+    for (std::size_t i = 0; i < 4; ++i) {
+        JobSpec j;
+        j.index = i;
+        j.suite = suite.name;
+        j.row = "r" + std::to_string(i);
+        j.custom = [&runs](const JobSpec &) {
+            ++runs;
+            return JobResult{};
+        };
+        suite.jobs.push_back(std::move(j));
+    }
+
+    JobResult rec;
+    rec.suite = suite.name;
+    rec.row = "r0";
+    rec.index = 0;
+    const std::string good = resumeManifestLine(rec);
+    // Swap the index token (the third tab-separated field).
+    auto withIndex = [&good](const std::string &idx) {
+        const std::size_t a = good.find('\t', good.find('\t') + 1);
+        const std::size_t b = good.find('\t', a + 1);
+        return good.substr(0, a + 1) + idx + good.substr(b);
+    };
+    const std::string manifest =
+        ::testing::TempDir() + "noncanonical.manifest";
+    {
+        std::ofstream f(manifest, std::ios::trunc);
+        f << good << '\n'
+          << withIndex("-1") << '\n'
+          << withIndex("+3") << '\n'
+          << withIndex(" 2") << '\n';
+    }
+    ASSERT_EQ(loadResumeManifest(manifest, suite.name).size(), 1u);
+
+    ExperimentPool pool(1);
+    ResultStore store;
+    SuiteRunOptions ro;
+    ro.resumeManifest = manifest;
+    EXPECT_EQ(runSuite(suite, pool, false, &store, ro), 0);
+    EXPECT_EQ(runs.load(), 3u);
+    EXPECT_EQ(store.size(), 4u);
+    std::remove(manifest.c_str());
+}
+
+TEST(Seeding, WorkloadsDifferingOnlyInSeedNeverShareWarmSnapshot)
+{
+    // Same name, asid and machine; only the generation seed differs. A
+    // shared warm snapshot would restore one program into the other's
+    // warm machine.
+    const SystemConfig cfg = SystemConfig::forScheme(Scheme::MuonTrap, 1);
+    RunOptions warm = quick();
+    warm.warmSnapshotDir = freshDir("mtrap_seed_warm");
+    for (std::uint64_t seed : {1u, 2u}) {
+        const Workload w = buildNamedWorkload("bzip2", seed);
+        EXPECT_EQ(run({cfg, w, warm}).result.cycles,
+                  run({cfg, w, quick()}).result.cycles)
+            << "seed " << seed << " restored another program's machine";
+    }
+    EXPECT_EQ(fileCount(warm.warmSnapshotDir), 2u);
+    std::filesystem::remove_all(warm.warmSnapshotDir);
+}
+
 TEST(Seeding, SeededRunsAreReproducible)
 {
-    EXPECT_EQ(jobSeed(0, 17), 0u);
-    EXPECT_NE(jobSeed(5, 0), jobSeed(5, 1));
-    EXPECT_NE(jobSeed(5, 0), jobSeed(6, 0));
-    EXPECT_EQ(jobSeed(5, 3), jobSeed(5, 3));
-
     JobSpec j;
     j.row = "bzip2";
     j.source = []() -> RunSource { return buildNamedWorkload("bzip2", 99); };
     j.cfg = SystemConfig::forScheme(Scheme::MuonTrap, 1);
     j.opt = quick();
-    j.opt.seed = 99;
     const JobResult a = runJob(j);
     const JobResult b = runJob(j);
     EXPECT_TRUE(a.ok);

@@ -11,7 +11,6 @@
 #include <sstream>
 #include <string>
 
-#include "perf/odometer.hh"
 #include "perf/perf_suite.hh"
 
 namespace mtrap::perf
@@ -202,7 +201,7 @@ TEST(PerfSuite, FailedScenarioIsReportedNotThrown)
 {
     PerfScenario bad;
     bad.name = "always-fails";
-    bad.body = [](const PerfOptions &) {
+    bad.body = [](const PerfOptions &) -> SimWork {
         throw std::runtime_error("intentional");
     };
     const std::vector<ScenarioResult> results =
@@ -220,18 +219,29 @@ TEST(PerfSuite, FailedScenarioIsReportedNotThrown)
     EXPECT_TRUE(checker.valid()) << json;
 }
 
-TEST(PerfSuite, OdometerAdvancesWithSimulationWork)
+TEST(PerfSuite, ReportsTheWorkTheBodyReturns)
 {
-    SimOdometer &odo = SimOdometer::instance();
-    const std::uint64_t i0 = odo.instructions();
-    const std::uint64_t c0 = odo.cycles();
+    PerfScenario fixed;
+    fixed.name = "fixed-work";
+    fixed.body = [](const PerfOptions &) { return SimWork{1234, 5678}; };
+    PerfOptions opt = tinyOptions();
+    opt.repeats = 2;
+    const std::vector<ScenarioResult> results =
+        runScenarios({fixed}, opt, nullptr);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_EQ(results[0].instructions, 1234u);
+    EXPECT_EQ(results[0].simCycles, 5678u);
+    EXPECT_EQ(results[0].repeats, 2u);
 
-    std::vector<PerfScenario> suite = defaultScenarios();
-    suite.resize(1);
-    (void)runScenarios(suite, tinyOptions(), nullptr);
-
-    EXPECT_GT(odo.instructions(), i0);
-    EXPECT_GT(odo.cycles(), c0);
+    // A body that reports no work is a failed scenario.
+    PerfScenario idle;
+    idle.name = "no-work";
+    idle.body = [](const PerfOptions &) { return SimWork{}; };
+    const std::vector<ScenarioResult> none =
+        runScenarios({idle}, tinyOptions(), nullptr);
+    ASSERT_EQ(none.size(), 1u);
+    EXPECT_FALSE(none[0].ok);
 }
 
 } // namespace

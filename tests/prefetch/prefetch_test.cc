@@ -1,12 +1,13 @@
 /**
  * @file
- * Unit tests for the stride prefetcher and the prefetch commit channel.
+ * Unit tests for the stride prefetcher. Its commit-ordered training
+ * under MuonTrap is tested at the memory-system level
+ * (tests/sim/memsys_test.cc).
  */
 
 #include <gtest/gtest.h>
 
 #include "coherence/bus.hh"
-#include "prefetch/commit_channel.hh"
 #include "prefetch/stride_prefetcher.hh"
 
 namespace mtrap
@@ -117,69 +118,6 @@ TEST(StridePrefetcher, ResetForgetsTraining)
     rig.pf->reset();
     rig.pf->train(kPc, kBase + 128);
     EXPECT_EQ(rig.pf->issued.value(), 0u);
-}
-
-// --- commit channel ------------------------------------------------------------
-
-TEST(CommitChannel, DeliversL2LevelNotifications)
-{
-    PfRig rig;
-    PrefetchCommitChannel ch(rig.pf.get(), &rig.root);
-    for (int i = 0; i < 4; ++i) {
-        PrefetchNotify n;
-        n.pc = kPc;
-        n.paddr = kBase + i * 64;
-        n.fillLevel = 2;
-        ch.notifyCommit(n);
-    }
-    EXPECT_EQ(ch.pending(), 4u);
-    ch.drain();
-    EXPECT_EQ(ch.pending(), 0u);
-    EXPECT_EQ(ch.delivered.value(), 4u);
-    // The prefetcher was trained through the channel.
-    EXPECT_NE(rig.l2.peek(kBase + 192), nullptr);
-}
-
-TEST(CommitChannel, FiltersLevelsWithoutPrefetcher)
-{
-    PfRig rig;
-    PrefetchCommitChannel ch(rig.pf.get(), &rig.root);
-    PrefetchNotify n;
-    n.pc = kPc;
-    n.paddr = kBase;
-    n.fillLevel = 1; // L1 has no prefetcher in the Table-1 system
-    ch.notifyCommit(n);
-    EXPECT_EQ(ch.pending(), 0u);
-    EXPECT_EQ(ch.filteredNoPrefetcher.value(), 1u);
-}
-
-TEST(CommitChannel, MemoryLevelTrainsL2Prefetcher)
-{
-    PfRig rig;
-    PrefetchCommitChannel ch(rig.pf.get(), &rig.root);
-    PrefetchNotify n;
-    n.pc = kPc;
-    n.paddr = kBase;
-    n.fillLevel = 3;
-    ch.notifyCommit(n);
-    EXPECT_EQ(ch.pending(), 1u);
-}
-
-TEST(CommitChannel, PreservesProgramOrder)
-{
-    PfRig rig;
-    PrefetchCommitChannel ch(rig.pf.get(), &rig.root);
-    // Deliver a descending stride in commit order; training must see
-    // exactly that order to detect the negative stride.
-    for (int i = 0; i < 4; ++i) {
-        PrefetchNotify n;
-        n.pc = kPc;
-        n.paddr = kBase + (8 - i) * 64;
-        n.fillLevel = 2;
-        ch.notifyCommit(n);
-    }
-    ch.drain();
-    EXPECT_NE(rig.l2.peek(kBase + 4 * 64), nullptr);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "common/json.hh"
 #include "sim/json_stats.hh"
 
 namespace mtrap

@@ -141,6 +141,87 @@ TEST(MemSysMuonTrap, StoreCommitGetsModifiedAndCountsUpgrade)
     EXPECT_EQ(rig.ms->bus().storeUpgrades.value(), 1u);
 }
 
+// Commit-ordered prefetcher training (§4.6): only committed filter lines
+// train the L2 prefetcher, and only those filled from the L2 or memory
+// (the L1 has no prefetcher).
+
+/** Commit a load to the last line of kV's page so the main TLB holds
+ *  the translation: later accesses to the page need no walk (whose PTE
+ *  reads train the prefetcher too). Returns the prefetcher's training
+ *  count afterwards. */
+std::uint64_t
+warmPage(Rig &rig)
+{
+    const Addr va = kV + kPageBytes - kLineBytes;
+    DataAccessResult r = rig.ms->dataAccess(0, kA, va, 0x20, false,
+                                            false, 0);
+    rig.ms->commitData(0, kA, va, 0x20, false, r.tlbMiss, 0);
+    return rig.ms->prefetcher()->trains.value();
+}
+
+TEST(MemSysMuonTrap, CommitOfL2OrMemoryFillTrainsPrefetcher)
+{
+    Rig rig;
+    const std::uint64_t base = warmPage(rig);
+    const Counter &trains = rig.ms->prefetcher()->trains;
+    // Cold line: filled from memory.
+    DataAccessResult r = rig.ms->dataAccess(0, kA, kV, 0x10, false, true,
+                                            10);
+    EXPECT_EQ(r.serviceLevel, 3u);
+    EXPECT_FALSE(r.tlbMiss);
+    EXPECT_EQ(trains.value(), base)
+        << "speculative accesses must not train the prefetcher";
+    rig.ms->commitData(0, kA, kV, 0x10, false, r.tlbMiss, 100);
+    EXPECT_EQ(trains.value(), base + 1);
+
+    // A line already in the L2: filled from the L2.
+    const Addr v2 = kV + 16 * kLineBytes;
+    rig.ms->l2().fill(rig.ms->addressSpace().translate(kA, v2),
+                      CoherState::Shared);
+    r = rig.ms->dataAccess(0, kA, v2, 0x10, false, true, 200);
+    EXPECT_EQ(r.serviceLevel, 2u);
+    rig.ms->commitData(0, kA, v2, 0x10, false, r.tlbMiss, 300);
+    EXPECT_EQ(trains.value(), base + 2);
+}
+
+TEST(MemSysMuonTrap, CommitOfL1FillDoesNotTrainPrefetcher)
+{
+    Rig rig;
+    const std::uint64_t base = warmPage(rig);
+    const Addr paddr = rig.ms->addressSpace().translate(kA, kV);
+    rig.ms->l1d(0).fill(paddr, CoherState::Shared);
+    DataAccessResult r = rig.ms->dataAccess(0, kA, kV, 0x10, false, true,
+                                            10);
+    EXPECT_EQ(r.serviceLevel, 1u);
+    rig.ms->commitData(0, kA, kV, 0x10, false, r.tlbMiss, 100);
+    const CacheLine *l =
+        rig.ms->muontrap(0).dataFilter()->lookupVirt(kA, kV, paddr);
+    ASSERT_NE(l, nullptr);
+    EXPECT_TRUE(l->committed);
+    EXPECT_EQ(rig.ms->prefetcher()->trains.value(), base);
+}
+
+TEST(MemSysMuonTrap, CommittedDescendingStrideTrainsNegativeStride)
+{
+    Rig rig;
+    const std::uint64_t base = warmPage(rig);
+    // Commit lines 8, 7, 6, 5 of the page in that order: the prefetcher
+    // sees them in commit order and prefetches downwards.
+    for (Addr i = 0; i < 4; ++i) {
+        const Addr va = kV + (8 - i) * kLineBytes;
+        DataAccessResult r = rig.ms->dataAccess(0, kA, va, 0x10, false,
+                                                true, 100 * i + 10);
+        rig.ms->commitData(0, kA, va, 0x10, false, r.tlbMiss,
+                           100 * i + 50);
+    }
+    EXPECT_EQ(rig.ms->prefetcher()->trains.value(), base + 4);
+    AddressSpace &vm = rig.ms->addressSpace();
+    EXPECT_NE(rig.ms->l2().peek(vm.translate(kA, kV + 4 * kLineBytes)),
+              nullptr);
+    EXPECT_EQ(rig.ms->l2().peek(vm.translate(kA, kV + 9 * kLineBytes)),
+              nullptr);
+}
+
 TEST(MemSysMuonTrap, SpeculativeTranslationGoesToFilterTlb)
 {
     Rig rig;

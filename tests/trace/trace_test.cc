@@ -198,6 +198,22 @@ TEST(TraceDeterminism, ScheduledRunSameBytesAndHasJobSpans)
     EXPECT_TRUE(validateChromeTrace(t1, err)) << err;
 }
 
+TEST(ChromeTrace, EscapesControlCharactersInJobLabels)
+{
+    RunOptions opt = shortRun();
+    opt.trace = true;
+    std::vector<Workload> mix = shortMix();
+    mix[0].name = "mcf\x01x";
+    const std::string t = chromeTraceOf(
+        run({SystemConfig::forScheme(Scheme::MuonTrap, 2),
+             MixSource{mix, shortSched()}, opt}));
+    EXPECT_NE(t.find("\"name\":\"mcf\\u0001x\""), std::string::npos);
+    EXPECT_EQ(t.find('\x01'), std::string::npos)
+        << "a raw control character is invalid JSON";
+    std::string err;
+    EXPECT_TRUE(validateChromeTrace(t, err)) << err;
+}
+
 TEST(TraceDeterminism, ThreadCountInvariantThroughHarness)
 {
     // The same traced jobs through 1/2/4 worker threads must produce

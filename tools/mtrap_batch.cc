@@ -23,9 +23,12 @@
  *                        artifacts only.
  *   --out FILE           write all results as JSON ("-" = stdout)
  *   --csv FILE           write all results as CSV ("-" = stdout)
- *   --seed S             nonzero: re-randomise deterministically (per-job
- *                        seeds derived from S); 0 (default) reproduces
- *                        the serial benches exactly
+ *   --seed S             nonzero: re-randomise the synthetic program
+ *                        generation deterministically (each workload's
+ *                        profile seed is mixed with S; no per-job seeds,
+ *                        so jobs running the same workload run the same
+ *                        program); 0 (default) reproduces the unseeded
+ *                        results exactly
  *   --instructions N     measured instructions per core (default 100000)
  *   --warmup N           warmup instructions per core (default 30000)
  *   --no-tables          skip table rendering even when unsharded

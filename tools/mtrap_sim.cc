@@ -18,8 +18,8 @@
  *   --warmup N           warmup instructions per core (default 30000)
  *   --seed S             nonzero: deterministically re-randomise the
  *                        synthetic program generation (the same path
- *                        harness jobs use); 0 = the profiles' own seeds
- *                        (default)
+ *                        mtrap_batch --seed uses); 0 = the profiles' own
+ *                        seeds (default)
  *   --filter-size BYTES  data filter-cache size (default 2048)
  *   --filter-assoc N     data filter-cache associativity (default 4)
  *   --baseline           also run the unprotected baseline (same run
@@ -193,6 +193,7 @@ runTool(int argc, char **argv)
     std::string workload_name;
     Scheme scheme = Scheme::MuonTrap;
     RunOptions opt; // defaults: kDefault{Warmup,Measure}Instructions
+    std::uint64_t seed = 0;
     std::uint64_t filter_size = 0;
     unsigned filter_assoc = 0;
     bool with_baseline = false, stats = false, json = false;
@@ -230,7 +231,7 @@ runTool(int argc, char **argv)
         } else if (arg == "--warmup") {
             opt.warmupInstructions = parseNumber(next());
         } else if (arg == "--seed") {
-            opt.seed = parseNumber(next());
+            seed = parseNumber(next());
         } else if (arg == "--filter-size") {
             filter_size = parseNumber(next());
         } else if (arg == "--filter-assoc") {
@@ -330,13 +331,13 @@ runTool(int argc, char **argv)
         MixSource mix{{}, sched};
         Asid asid = 1;
         mix.jobs.push_back(harness::buildNamedWorkload(workload_name,
-                                                       opt.seed, asid++));
+                                                       seed, asid++));
         for (const std::string &name : timeshare)
             mix.jobs.push_back(
-                harness::buildNamedWorkload(name, opt.seed, asid++));
+                harness::buildNamedWorkload(name, seed, asid++));
         source = std::move(mix);
     } else {
-        source = harness::buildNamedWorkload(workload_name, opt.seed);
+        source = harness::buildNamedWorkload(workload_name, seed);
     }
     const bool single = std::holds_alternative<Workload>(source);
 
@@ -384,16 +385,15 @@ runTool(int argc, char **argv)
     writeTraceOutputs(*out.system, out.statSeries.get(), trace_path,
                       trace_csv_path, stats_out_path);
 
-    // The baseline shares only the run lengths, the seed and the
-    // workload source: tracing, sampling and snapshot files belong to
-    // the main run.
+    // The baseline shares only the run lengths and the workload source
+    // (the same seeded programs): tracing, sampling and snapshot files
+    // belong to the main run.
     if (with_baseline && !(server && scheme == Scheme::Baseline)) {
         RunSpec base{SystemConfig::forScheme(Scheme::Baseline,
                                              machine_cores),
                      spec.source, {}, schemeName(Scheme::Baseline)};
         base.opt.warmupInstructions = opt.warmupInstructions;
         base.opt.measureInstructions = opt.measureInstructions;
-        base.opt.seed = opt.seed;
         const RunOutput b = run(base);
         if (server) {
             if (b.report.sojournP95)
