@@ -159,7 +159,36 @@ warmPage(Rig &rig)
     return rig.ms->prefetcher()->trains.value();
 }
 
-TEST(MemSysMuonTrap, CommitOfL2OrMemoryFillTrainsPrefetcher)
+// The CommitChannel tests follow a committed filter line down the
+// commit-time path from MemSystem to the L2 prefetcher.
+
+TEST(CommitChannel, DeliversL2LevelNotifications)
+{
+    Rig rig;
+    const std::uint64_t base = warmPage(rig);
+    AddressSpace &vm = rig.ms->addressSpace();
+    // Lines 16..19 of the page sit in the L2, so each load is filled from
+    // the L2; committing them in order trains an ascending stride.
+    for (Addr i = 0; i < 4; ++i)
+        rig.ms->l2().fill(vm.translate(kA, kV + (16 + i) * kLineBytes),
+                          CoherState::Shared);
+    for (Addr i = 0; i < 4; ++i) {
+        const Addr va = kV + (16 + i) * kLineBytes;
+        DataAccessResult r = rig.ms->dataAccess(0, kA, va, 0x10, false,
+                                                true, 100 * i + 10);
+        EXPECT_EQ(r.serviceLevel, 2u);
+        EXPECT_EQ(rig.ms->prefetcher()->trains.value(), base + i)
+            << "speculative accesses must not train the prefetcher";
+        rig.ms->commitData(0, kA, va, 0x10, false, r.tlbMiss,
+                           100 * i + 50);
+    }
+    EXPECT_EQ(rig.ms->prefetcher()->trains.value(), base + 4);
+    // The prefetcher was trained through the commit path.
+    EXPECT_NE(rig.ms->l2().peek(vm.translate(kA, kV + 20 * kLineBytes)),
+              nullptr);
+}
+
+TEST(CommitChannel, MemoryLevelTrainsL2Prefetcher)
 {
     Rig rig;
     const std::uint64_t base = warmPage(rig);
@@ -173,15 +202,6 @@ TEST(MemSysMuonTrap, CommitOfL2OrMemoryFillTrainsPrefetcher)
         << "speculative accesses must not train the prefetcher";
     rig.ms->commitData(0, kA, kV, 0x10, false, r.tlbMiss, 100);
     EXPECT_EQ(trains.value(), base + 1);
-
-    // A line already in the L2: filled from the L2.
-    const Addr v2 = kV + 16 * kLineBytes;
-    rig.ms->l2().fill(rig.ms->addressSpace().translate(kA, v2),
-                      CoherState::Shared);
-    r = rig.ms->dataAccess(0, kA, v2, 0x10, false, true, 200);
-    EXPECT_EQ(r.serviceLevel, 2u);
-    rig.ms->commitData(0, kA, v2, 0x10, false, r.tlbMiss, 300);
-    EXPECT_EQ(trains.value(), base + 2);
 }
 
 TEST(MemSysMuonTrap, CommitOfL1FillDoesNotTrainPrefetcher)
