@@ -45,6 +45,7 @@ coherStateName(CoherState s)
 
 Cache::Cache(const CacheParams &params, StatGroup *parent)
     : params_(params),
+      inflightFills_(16 * std::size_t{std::max(1u, params.mshrs)}),
       stats_(cacheStatSchema(), params.name, parent),
       hits(&stats_, "hits", "demand hits"),
       misses(&stats_, "misses", "demand misses"),

@@ -312,7 +312,10 @@ class Cache
      *  replStamp, so the smallest stamp in a set is its LRU line. */
     std::uint64_t stamp_ = 0;
     std::vector<Cycle> mshrFree_;
-    /** Outstanding fills: line number -> data-arrival cycle. */
+    /** Outstanding fills: line number -> data-arrival cycle. Sized to
+     *  twice the erase threshold in reserveMshr (8 entries per MSHR),
+     *  so the map normally never grows and eraseIf rebuilds a small
+     *  table. */
     FlatWordMap inflightFills_;
 
     StatGroup stats_;

@@ -1,7 +1,10 @@
 #include "common/json.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <system_error>
 
 #include "common/log.hh"
 
@@ -135,6 +138,11 @@ class JsonParser
         out.clear();
         while (pos_ < s_.size() && s_[pos_] != '"') {
             char c = s_[pos_];
+            if (static_cast<unsigned char>(c) < 0x20) {
+                err = "raw control character in string at offset "
+                      + std::to_string(pos_);
+                return false;
+            }
             if (c == '\\') {
                 ++pos_;
                 if (pos_ >= s_.size()) {
@@ -151,15 +159,10 @@ class JsonParser
                   case 'b': c = '\b'; break;
                   case 'f': c = '\f'; break;
                   case 'u':
-                    // Our writers never emit \u; decode as '?' rather
-                    // than failing on a hand-edited file.
-                    if (pos_ + 4 >= s_.size()) {
-                        err = "truncated \\u escape";
+                    if (!codePoint(out, err))
                         return false;
-                    }
-                    pos_ += 4;
-                    c = '?';
-                    break;
+                    ++pos_;
+                    continue;
                   default:
                     err = "unknown escape";
                     return false;
@@ -173,6 +176,58 @@ class JsonParser
             return false;
         }
         ++pos_; // closing quote
+        return true;
+    }
+
+    /** The four hex digits after the 'u' at pos_; leaves pos_ on the
+     *  last digit. */
+    bool hex4(unsigned &out, std::string &err)
+    {
+        const char *first = s_.data() + pos_ + 1;
+        const char *last =
+            first + std::min<std::size_t>(4, s_.size() - pos_ - 1);
+        const auto [end, ec] = std::from_chars(first, last, out, 16);
+        if (ec != std::errc() || end != first + 4) {
+            err = "bad \\u escape at offset " + std::to_string(pos_);
+            return false;
+        }
+        pos_ += 4;
+        return true;
+    }
+
+    /** Decode the \uXXXX escape (or surrogate pair) whose 'u' is at
+     *  pos_ and append it as UTF-8; leaves pos_ on its last digit. */
+    bool codePoint(std::string &out, std::string &err)
+    {
+        unsigned cp = 0;
+        if (!hex4(cp, err))
+            return false;
+        if (cp >= 0xdc00 && cp <= 0xdfff) {
+            err = "unpaired low surrogate";
+            return false;
+        }
+        if (cp >= 0xd800 && cp <= 0xdbff) {
+            unsigned lo = 0;
+            if (s_.compare(pos_ + 1, 2, "\\u") != 0) {
+                err = "unpaired high surrogate";
+                return false;
+            }
+            pos_ += 2;
+            if (!hex4(lo, err))
+                return false;
+            if (lo < 0xdc00 || lo > 0xdfff) {
+                err = "unpaired high surrogate";
+                return false;
+            }
+            cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
+        }
+        // UTF-8: a lead byte, then six bits per continuation byte.
+        static constexpr unsigned char kLead[] = {0x00, 0xc0, 0xe0, 0xf0};
+        const int extra =
+            cp < 0x80 ? 0 : cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+        out.push_back(static_cast<char>(kLead[extra] | (cp >> (6 * extra))));
+        for (int i = extra - 1; i >= 0; --i)
+            out.push_back(static_cast<char>(0x80 | ((cp >> (6 * i)) & 0x3f)));
         return true;
     }
 

@@ -96,12 +96,11 @@ class MemIface
     virtual void write(Asid asid, Addr vaddr, std::uint64_t value) = 0;
 
     /**
-     * Core-attributed functional read: the calling core's identity lets
-     * the memory system serve the read from a per-core word cache
-     * (MemSystem keeps a small line-keyed cache per core in front of
-     * MainMemory; see MemSystem::FuncReadCache for the geometry).
-     * Defaults to the plain read so simple MemIface fakes need not
-     * care.
+     * Core-attributed functional read: the core's loads come through
+     * here, so a wrapper can attribute them per core (hostbench times
+     * them). Functional data is single-copy, so the value is the plain
+     * read's; the default forwards to it and MemIface fakes need not
+     * override it.
      */
     virtual std::uint64_t read(CoreId core, Asid asid, Addr vaddr)
     {

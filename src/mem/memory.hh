@@ -54,12 +54,9 @@ class MainMemory
     /** Functional read of the 64-bit word containing `addr`. Unwritten
      *  memory reads as a deterministic hash of the address, so workloads
      *  see stable, non-zero "data" without pre-initialisation. Inline:
-     *  every functional load in every core lands here — though core
-     *  loads normally arrive through MemSystem's per-core line-keyed
-     *  word cache (MemSystem::read(core, asid, vaddr)), which probes
-     *  this store only on a word miss and is invalidated through
-     *  MemSystem::write. Writers that bypass MemSystem::write must not
-     *  coexist with that cache. */
+     *  every functional load of every core lands here, through
+     *  MemSystem::read. This store is the only copy of functional
+     *  data; the caches track tags and coherence state only. */
     std::uint64_t read(Addr addr) const
     {
         const Addr word = addr & ~static_cast<Addr>(7);

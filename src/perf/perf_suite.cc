@@ -345,7 +345,8 @@ defaultScenarios()
         "parsec-freqmine-funcread-4core-muontrap",
         "functional-read-heavy 4-core PARSEC profile (freqmine: pointer "
         "chasing and random reads over big shared trees) under full "
-        "MuonTrap — stresses the per-core functional word cache",
+        "MuonTrap — stresses functional reads (address translation "
+        "and the sparse word store)",
         [] { return buildParsecWorkload("freqmine", 4); },
         Scheme::MuonTrap));
 

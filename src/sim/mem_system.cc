@@ -93,7 +93,6 @@ MemSystem::MemSystem(const MemSystemParams &params, StatGroup *parent)
                                  mt_[c].get(), walker_[c].get(),
                                  specBuffer_[c].get()});
     }
-    funcCache_.resize(params_.cores);
 }
 
 AccessResult
@@ -153,10 +152,6 @@ MemSystem::restoreState(Deserializer &d)
         mt_[c]->restoreState(d);
         specBuffer_[c]->restoreState(d);
     }
-    // The word caches are transparent; drop them rather than carrying
-    // their contents across the snapshot boundary.
-    for (FuncReadCache &fc : funcCache_)
-        fc = FuncReadCache{};
 }
 
 // --------------------------------------------------------------------------
@@ -764,9 +759,6 @@ MemSystem::onContextSwitch(CoreId core, Cycle when)
 {
     side_[core].mt->flush(FlushReason::ContextSwitch, when);
     side_[core].spec->clear(when);
-    // The incoming context starts with a cold functional word cache.
-    for (FuncLine &l : funcCache_[core].line)
-        l.lineVa = kAddrInvalid;
 }
 
 void
@@ -782,71 +774,10 @@ MemSystem::onSquash(CoreId core, Cycle when)
     side_[core].spec->clear(when);
 }
 
-std::uint64_t
-MemSystem::read(Asid asid, Addr vaddr)
-{
-    return mem_->read(vm_.translate(asid, vaddr));
-}
-
-std::uint64_t
-MemSystem::readMiss(CoreId core, Asid asid, Addr vaddr)
-{
-    FuncReadCache &fc = funcCache_[core];
-    const Addr lv = vaddr >> kLineShift;
-    const unsigned w = static_cast<unsigned>(vaddr >> 3) & 7;
-    const std::uint32_t ver = vm_.version();
-
-    FuncLine *l = &fc.line[fc.mru];
-    if (l->lineVa != lv || l->asid != asid || l->ver != ver) {
-        l = nullptr;
-        FuncLine *lru = &fc.line[0];
-        for (FuncLine &cand : fc.line) {
-            if (cand.lineVa == lv && cand.asid == asid &&
-                cand.ver == ver) {
-                l = &cand;
-                break;
-            }
-            if (cand.stamp < lru->stamp)
-                lru = &cand;
-        }
-        if (!l) {
-            // Fill the LRU entry's tags; words arrive lazily below.
-            l = lru;
-            l->lineVa = lv;
-            l->asid = asid;
-            l->ver = ver;
-            l->mask = 0;
-            l->paBase = vm_.translate(asid, vaddr)
-                        & ~static_cast<Addr>(kLineBytes - 1);
-        }
-        fc.mru = static_cast<std::uint8_t>(l - fc.line.data());
-    }
-    l->stamp = ++fc.clock;
-    const std::uint8_t bit = static_cast<std::uint8_t>(1u << w);
-    if (!(l->mask & bit)) {
-        l->words[w] = mem_->read(l->paBase
-                                 + (vaddr & (kLineBytes - 1)));
-        l->mask |= bit;
-    }
-    return l->words[w];
-}
-
 void
 MemSystem::write(Asid asid, Addr vaddr, std::uint64_t value)
 {
-    const Addr paddr = vm_.translate(asid, vaddr);
-    // Knock the written word out of every core's functional word cache.
-    // The match is physical, so cross-core and cross-asid (aliased)
-    // writes invalidate correctly.
-    const Addr pa_line = paddr & ~static_cast<Addr>(kLineBytes - 1);
-    const std::uint8_t bit =
-        static_cast<std::uint8_t>(1u << (static_cast<unsigned>(paddr >> 3)
-                                         & 7));
-    for (FuncReadCache &fc : funcCache_)
-        for (FuncLine &l : fc.line)
-            if (l.paBase == pa_line)
-                l.mask &= static_cast<std::uint8_t>(~bit);
-    mem_->write(paddr, value);
+    mem_->write(vm_.translate(asid, vaddr), value);
 }
 
 } // namespace mtrap

@@ -14,7 +14,6 @@
 #ifndef MTRAP_SIM_MEM_SYSTEM_HH
 #define MTRAP_SIM_MEM_SYSTEM_HH
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -83,26 +82,20 @@ class MemSystem final : public MemIface, public PtwAccessIface
     void onContextSwitch(CoreId core, Cycle when) override;
     void onFlushBarrier(CoreId core, Cycle when) override;
     void onSquash(CoreId core, Cycle when) override;
-    std::uint64_t read(Asid asid, Addr vaddr) override;
-    void write(Asid asid, Addr vaddr, std::uint64_t value) override;
-    /** Core-attributed functional read, served from the calling core's
-     *  word cache (below). The MRU-hit path is inline: it sits under
-     *  every functional load of every core and must inline into the
-     *  fetch loop without relying on LTO. */
+    /** Inline: it sits under every functional load of every core. */
     std::uint64_t
-    read(CoreId core, Asid asid, Addr vaddr) override
+    read(Asid asid, Addr vaddr) override
     {
-        FuncReadCache &fc = funcCache_[core];
-        FuncLine &l = fc.line[fc.mru];
-        if (l.lineVa == (vaddr >> kLineShift) && l.asid == asid &&
-            l.ver == vm_.version()) {
-            const unsigned w = static_cast<unsigned>(vaddr >> 3) & 7;
-            if (l.mask & (1u << w)) {
-                l.stamp = ++fc.clock;
-                return l.words[w];
-            }
-        }
-        return readMiss(core, asid, vaddr);
+        return mem_->read(vm_.translate(asid, vaddr));
+    }
+    void write(Asid asid, Addr vaddr, std::uint64_t value) override;
+    /** The core's identity selects nothing: functional data is single
+     *  copy. Declared here so that callers holding a MemSystem& (which
+     *  hides MemIface's default by name) still find it. */
+    std::uint64_t
+    read(CoreId, Asid asid, Addr vaddr) override
+    {
+        return read(asid, vaddr);
     }
 
     // --- PtwAccessIface -----------------------------------------------------
@@ -146,10 +139,7 @@ class MemSystem final : public MemIface, public PtwAccessIface
      * Checkpoint the whole hierarchy: main memory word store, L2,
      * prefetcher (when enabled), then per core the
      * L1s, TLBs, MuonTrap filters and spec buffer. The bus and walkers
-     * hold no mutable state beyond statistics. The functional word
-     * caches are observably transparent (miss and hit return the same
-     * value and cost zero cycles) and are reset on restore instead of
-     * being serialized.
+     * hold no mutable state beyond statistics.
      */
     void saveState(Serializer &s) const;
     void restoreState(Deserializer &d);
@@ -170,10 +160,6 @@ class MemSystem final : public MemIface, public PtwAccessIface
         __attribute__((always_inline));
     Translation translateMiss(Tlb &tlb, CoreId core, Asid asid,
                               Addr vaddr, Cycle when, bool speculative);
-
-    /** Word-cache fill/replace path behind the inline read() fast
-     *  path: line scan, LRU tag fill, lazy word probe. */
-    std::uint64_t readMiss(CoreId core, Asid asid, Addr vaddr);
 
     /** Post-translation data walk (also the page-table walker's entry
      *  point, where vaddr == paddr). */
@@ -236,40 +222,6 @@ class MemSystem final : public MemIface, public PtwAccessIface
         SpecBuffer *spec;
     };
     std::vector<CoreSide> side_;
-
-    /**
-     * Per-core line-keyed word cache in front of MainMemory::read for
-     * core functional loads (~2M probes per 10M instructions before it;
-     * stream/stride workloads have strong line locality the
-     * open-addressing store cannot exploit). Four entries: profile-mix
-     * kernels interleave up to `mlp` independent streams, which
-     * ping-pong a 2-entry cache.
-     *
-     * Entries are looked up virtually — (asid, line, mapping version)
-     * — so a hit skips the translation too, and tagged physically so a
-     * functional write (by any core, through any asid, including
-     * cross-asid aliases) can invalidate the written word everywhere.
-     * Words fill lazily under a valid mask: a miss probes exactly the
-     * word it needs, so sparse access patterns pay no line-fill tax.
-     * onContextSwitch drops the switching core's entries wholesale.
-     */
-    struct FuncLine
-    {
-        Addr lineVa = kAddrInvalid;      ///< vaddr >> kLineShift
-        Addr paBase = kAddrInvalid;      ///< physical line base
-        Asid asid = 0;
-        std::uint32_t ver = 0;           ///< AddressSpace version
-        std::uint32_t stamp = 0;         ///< LRU stamp (clock below)
-        std::uint8_t mask = 0;           ///< per-word valid bits
-        std::array<std::uint64_t, 8> words{};
-    };
-    struct FuncReadCache
-    {
-        std::array<FuncLine, 4> line;
-        std::uint8_t mru = 0;            ///< index of last hit entry
-        std::uint32_t clock = 0;
-    };
-    std::vector<FuncReadCache> funcCache_;
 
     std::vector<std::unique_ptr<Cache>> l1d_;
     std::vector<std::unique_ptr<Cache>> l1i_;

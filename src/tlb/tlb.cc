@@ -63,7 +63,6 @@ AddressSpace::alias(Asid asid, Addr vaddr, Addr paddr, std::uint64_t bytes)
     // The cached translation may be superseded by the new mapping.
     mruKey_ = ~std::uint64_t{0};
     mruPpn_ = kAddrInvalid;
-    ++version_;
 }
 
 Addr

@@ -57,16 +57,8 @@ class AddressSpace
     /** Number of levels in a page-table walk. */
     static constexpr unsigned kWalkLevels = 4;
 
-    /**
-     * Mapping-generation counter, bumped by alias(): cached derived
-     * translations (MemSystem's functional word caches) compare it to
-     * detect remaps without registering invalidation callbacks.
-     */
-    std::uint32_t version() const { return version_; }
-
   private:
     std::unordered_map<std::uint64_t, Addr> aliases_;
-    std::uint32_t version_ = 1;
 
     /** Last translation, (asid,vpn) -> ppn: translate() is a pure
      *  function of its inputs (given the alias table), sits under every

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "snapshot/snapshot.hh"
 
 namespace mtrap
 {
@@ -289,6 +290,86 @@ TEST(Cache, MshrDelaySequencePinned)
         1, 9, 1, 6, 0, 10, 15, 7, 11, 1, 6, 0, 3, 2, 10, 4, 7, 3, 12, 17};
     EXPECT_EQ(delays, expect);
     EXPECT_EQ(c.mshrStalls.value(), 20u);
+}
+
+TEST(Cache, MshrMergesPinnedAcrossErase)
+{
+    // A 4-MSHR cache takes 120 distinct-line misses whose issue times
+    // step backwards every few accesses, the way wrong-path issues run
+    // "in the past", so the in-flight map passes its erase threshold
+    // (8 entries per MSHR) many times. Recent lines are revisited
+    // before their fill arrives (a merge while still tracked); lines
+    // 50 misses old are revisited at a time before their fill arrived,
+    // after the erase has dropped them; and the first 40 lines are
+    // revisited long after they arrived. Halfway, the state goes
+    // through a snapshot round trip into a fresh cache, which must
+    // carry on exactly as the original does. Every delay and both
+    // counters are pinned, so a change to the merge rule or to what
+    // the erase drops shows here.
+    StatGroup g("g");
+    CacheParams p = smallCache();
+    p.mshrs = 4;
+    Cache a(p, &g);
+    Cache b(p, &g);
+    bool forked = false;
+    std::vector<Cycle> delays;
+    auto miss = [&](Addr line, Cycle when, Cycle latency) {
+        const Cycle d = a.reserveMshr(line << 12, when, latency);
+        if (forked) {
+            EXPECT_EQ(b.reserveMshr(line << 12, when, latency), d)
+                << "line " << line << " at " << when;
+        }
+        delays.push_back(d);
+    };
+    auto issue = [](unsigned i) -> Cycle {
+        return 1000 + 14 * i - (i % 4) * 20;
+    };
+    for (unsigned i = 0; i < 120; ++i) {
+        if (i == 60) {
+            Serializer s;
+            s.beginSection(1);
+            a.saveState(s);
+            s.endSection();
+            Deserializer d(frameSnapshot(s, 1, 2), 1, 2);
+            d.beginSection(1);
+            b.restoreState(d);
+            d.endSection();
+            forked = true;
+        }
+        miss(i, issue(i), 30 + (i * 13) % 29);
+        if (i % 3 == 2)
+            miss(i - 2, issue(i) + 5, 45);
+        if (i >= 50 && i % 5 == 0)
+            miss(i - 50, issue(i - 50) + 10, 45);
+    }
+    for (unsigned i = 0; i < 40; ++i)
+        miss(i, issue(119) + 400 + 12 * i, 45);
+    const std::vector<Cycle> expect = {
+        0,   0,  0,   0,  0,  0,   0,   0,  0,  49, 0,  0,  3,  21,  46,
+        0,   0,  0,   9,  3,  47,  0,   0,  0,  4,  42, 0,  0,  0,   25,
+        54,  4,  0,   8,  24, 14,  37,  0,  2,  0,  17, 44, 0,  0,   0,
+        38,  58, 15,  0,  0,  19,  0,   52, 0,  0,  0,  0,  40, 0,   0,
+        7,   16, 54,  4,  0,  1,   8,   7,  674, 56, 0,  3,  0,  13,  55,
+        705, 0,  0,   32, 42, 51,  40,  0,  734, 22, 32, 18, 67, 0,   6,
+        0,   753, 42, 52, 0,  0,   12,  21, 683, 62, 31, 0,  13, 22,  0,
+        56,  710, 0,  8,  0,  42,  49,  0,  0,  721, 23, 44, 54, 24,  0,
+        6,   752, 40, 11, 51, 0,   11,  0,  19, 680, 61, 0,  0,  13,  49,
+        58,  25, 718, 1,  21, 43,  0,   50, 0,  733, 23, 0,  44, 66,  0,
+        0,   5,  763, 39, 49, 0,   0,   22, 28, 4,  695, 60, 0,  21,  0,
+        34,  54, 706, 0,  3,  32,  39,  48, 37};
+    // Then the 40 late revisits, none merged and none stalled.
+    ASSERT_EQ(delays.size(), expect.size() + 40);
+    EXPECT_EQ(std::vector<Cycle>(delays.begin(),
+                                 delays.begin() + expect.size()),
+              expect);
+    EXPECT_EQ(std::vector<Cycle>(delays.begin() + expect.size(),
+                                 delays.end()),
+              std::vector<Cycle>(40, 0));
+    EXPECT_EQ(a.mshrMerges.value(), 31u);
+    EXPECT_EQ(a.mshrStalls.value(), 94u);
+    // Counted since the fork only.
+    EXPECT_EQ(b.mshrMerges.value(), 18u);
+    EXPECT_EQ(b.mshrStalls.value(), 59u);
 }
 
 TEST(Cache, StatsCountFills)

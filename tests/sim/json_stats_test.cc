@@ -24,6 +24,61 @@ TEST(JsonEscape, HandlesSpecials)
     EXPECT_EQ(jsonEscape("a\tb"), "a\\tb");
 }
 
+// A JSON string literal parsed on its own.
+bool
+parseString(const std::string &literal, std::string &out, std::string &err)
+{
+    JsonValue v;
+    if (!parseJson(literal, v, err))
+        return false;
+    EXPECT_EQ(v.kind, JsonValue::Kind::String);
+    out = v.string;
+    return true;
+}
+
+TEST(JsonParse, EscapedControlCharactersRoundTrip)
+{
+    std::string all;
+    for (int c = 0; c < 0x20; ++c) {
+        const std::string one(1, static_cast<char>(c));
+        std::string back, err;
+        ASSERT_TRUE(parseString("\"" + jsonEscape(one) + "\"", back, err))
+            << c << ": " << err;
+        EXPECT_EQ(back, one) << c;
+        all += one + "x";
+    }
+    std::string back, err;
+    ASSERT_TRUE(parseString("\"" + jsonEscape(all) + "\"", back, err)) << err;
+    EXPECT_EQ(back, all);
+}
+
+TEST(JsonParse, DecodesUnicodeEscapesToUtf8)
+{
+    std::string out, err;
+    ASSERT_TRUE(parseString(R"("a\u0041\u00e9\u20AC\ud83d\ude00z")",
+                            out, err))
+        << err;
+    EXPECT_EQ(out, "aA\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80z");
+}
+
+TEST(JsonParse, RejectsMalformedStrings)
+{
+    std::string out, err;
+    EXPECT_FALSE(parseString(R"("\uZZZZ")", out, err));
+    EXPECT_FALSE(parseString(R"("\u12")", out, err));
+    EXPECT_FALSE(parseString(R"("\u00G0")", out, err));
+    EXPECT_FALSE(parseString(R"("\ud83d")", out, err))
+        << "a high surrogate needs its low half";
+    EXPECT_FALSE(parseString(R"("\ud83dx\ude00")", out, err));
+    EXPECT_FALSE(parseString(R"("\ude00")", out, err));
+    for (int c = 0; c < 0x20; ++c) {
+        EXPECT_FALSE(parseString(std::string("\"a") + static_cast<char>(c)
+                                     + "b\"",
+                                 out, err))
+            << "raw control character " << c;
+    }
+}
+
 TEST(StatGroupVisit, WalksSubtreeWithPaths)
 {
     StatGroup root("sys");

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/mem_system.hh"
+#include "snapshot/snapshot.hh"
 
 namespace mtrap
 {
@@ -406,6 +407,82 @@ TEST(MemSysFunc, SharedAliasGivesSharedData)
     rig.ms->addressSpace().alias(2, 0x20000, 0x77000000, kPageBytes);
     rig.ms->write(1, 0x10040, 99);
     EXPECT_EQ(rig.ms->read(2, 0x20040), 99u);
+}
+
+// Core-attributed reads (the path every core load takes) see each
+// functional write at once, whichever core and ASID made it: two cores
+// run two ASIDs that alias one physical page.
+struct AliasedPair : Rig
+{
+    AliasedPair() : Rig(MuonTrapConfig::full(), 2)
+    {
+        ms->addressSpace().alias(1, 0x10000, 0x77000000, kPageBytes);
+        ms->addressSpace().alias(2, 0x20000, 0x77000000, kPageBytes);
+    }
+    std::uint64_t read0(Addr off) { return ms->read(0, 1, 0x10000 + off); }
+    std::uint64_t read1(Addr off) { return ms->read(1, 2, 0x20000 + off); }
+};
+
+TEST(MemSysFunc, CoreReadSeesOtherAsidWrite)
+{
+    AliasedPair p;
+    const std::uint64_t before = p.read0(0x48);
+    p.ms->write(2, 0x20048, before + 1);
+    EXPECT_EQ(p.read0(0x48), before + 1);
+    EXPECT_EQ(p.read1(0x48), before + 1);
+    // The neighbouring words of the line are untouched.
+    p.ms->write(1, 0x10040, 7);
+    EXPECT_EQ(p.read1(0x40), 7u);
+    EXPECT_EQ(p.read0(0x48), before + 1);
+}
+
+TEST(MemSysFunc, CoreReadWriteReadSameLine)
+{
+    AliasedPair p;
+    for (std::uint64_t v = 1; v <= 20; ++v) {
+        const Addr off = 0x80 + 8 * (v % 8);
+        p.read0(off);
+        p.read1(off);
+        p.ms->write(v % 2 ? 1 : 2, (v % 2 ? 0x10000 : 0x20000) + off,
+                    v * 1000);
+        EXPECT_EQ(p.read0(off), v * 1000) << v;
+        EXPECT_EQ(p.read1(off), v * 1000) << v;
+    }
+}
+
+TEST(MemSysFunc, CoreReadAfterContextSwitch)
+{
+    AliasedPair p;
+    p.ms->write(1, 0x100c0, 5);
+    EXPECT_EQ(p.read0(0xc0), 5u);
+    p.ms->onContextSwitch(0, 100);
+    p.ms->write(2, 0x200c0, 6);
+    EXPECT_EQ(p.read0(0xc0), 6u);
+    p.ms->onContextSwitch(1, 200);
+    EXPECT_EQ(p.read1(0xc0), 6u);
+}
+
+TEST(MemSysFunc, CoreReadAfterSnapshotRestore)
+{
+    AliasedPair p;
+    p.ms->write(1, 0x10100, 11);
+    EXPECT_EQ(p.read0(0x100), 11u);
+    Serializer s;
+    s.beginSection(kTagMemSystem);
+    p.ms->saveState(s);
+    s.endSection();
+    const std::vector<std::uint8_t> img = frameSnapshot(s, 1, 2);
+
+    p.ms->write(2, 0x20100, 12);
+    EXPECT_EQ(p.read0(0x100), 12u);
+    EXPECT_EQ(p.read1(0x100), 12u);
+
+    Deserializer d(img, 1, 2);
+    d.beginSection(kTagMemSystem);
+    p.ms->restoreState(d);
+    d.endSection();
+    EXPECT_EQ(p.read0(0x100), 11u);
+    EXPECT_EQ(p.read1(0x100), 11u);
 }
 
 } // namespace

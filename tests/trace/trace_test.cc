@@ -212,6 +212,12 @@ TEST(ChromeTrace, EscapesControlCharactersInJobLabels)
         << "a raw control character is invalid JSON";
     std::string err;
     EXPECT_TRUE(validateChromeTrace(t, err)) << err;
+
+    std::string raw = t;
+    const std::size_t at = raw.find("\\u0001");
+    raw.replace(at, 6, "\x01");
+    EXPECT_FALSE(validateChromeTrace(raw, err))
+        << "the validator must reject a raw control character";
 }
 
 TEST(TraceDeterminism, ThreadCountInvariantThroughHarness)

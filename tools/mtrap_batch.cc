@@ -123,6 +123,10 @@ writeArtifact(const ResultStore &store, const std::string &path, bool csv)
     CheckedOfstream os(path, "result artifact");
     csv ? store.writeCsv(os.stream()) : store.writeJson(os.stream());
     os.finish();
+    // The tables go to stdout, which a terminal or pipe still buffers:
+    // flush them so this stderr line cannot land inside a table.
+    std::cout.flush();
+    std::fflush(stdout);
     std::fprintf(stderr, "mtrap_batch: wrote %s (%llu results)\n",
                  path.c_str(),
                  static_cast<unsigned long long>(store.size()));
