@@ -1,8 +1,10 @@
 /**
  * @file
  * Process-wide buffer pool + STL allocator for the simulator's large,
- * frequently re-created arrays (cache line arrays, the functional word
- * store).
+ * frequently re-created arrays (cache line arrays, BTBs). The
+ * functional word store does not use it: its page records are small,
+ * and the buffers the pool kept for a hash table that doubled as it
+ * filled were about a third of a timeshare run's peak memory.
  *
  * Building a Table-1 system allocates ~1 MB of line metadata; the
  * security choreographies and the experiment harness construct and

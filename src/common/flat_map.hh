@@ -2,13 +2,13 @@
  * @file
  * FlatWordMap: a minimal open-addressing hash map from 64-bit keys to
  * 64-bit values, tuned for the simulator's hot lookup tables (the
- * functional memory store, MSHR in-flight fill tracking).
+ * functional memory's page directory, MSHR in-flight fill tracking).
  *
  * Compared with std::unordered_map it does no per-node allocation, has
  * no bucket-list pointer chases, and a slot is exactly 16 bytes, so the
  * common hit touches one or two cache lines. A reserved sentinel key
- * marks empty slots (the simulator's keys are addresses or line
- * numbers, far below the sentinel). Erasure is rebuild-based (eraseIf,
+ * marks empty slots (the simulator's keys are line or page numbers,
+ * far below the sentinel). Erasure is rebuild-based (eraseIf,
  * for rare cleanups) rather than per-entry, so probing never sees
  * tombstones. Iteration order is unspecified and never observed by the
  * simulation (determinism is unaffected: values are keyed data).
@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/buffer_pool.hh"
 #include "common/rng.hh"
 
 namespace mtrap
@@ -134,7 +133,7 @@ class FlatWordMap
                 put(s.key, s.value);
     }
 
-    using SlotVec = std::vector<Slot, PoolAllocator<Slot>>;
+    using SlotVec = std::vector<Slot>;
     SlotVec slots_;
     std::size_t mask_ = 0;
     std::size_t size_ = 0;

@@ -113,13 +113,11 @@ StatName::withSuffix(const char *suffix) const
 
 const StatDef &
 StatSchema::bind(unsigned pos, const char *name, const char *desc,
-                 StatKind kind, std::uint32_t words, FormulaFn fn,
-                 std::uint64_t bucket_width, std::uint32_t num_buckets)
+                 StatKind kind, std::uint32_t words, FormulaFn fn)
 {
     auto verify = [&](const StatDef &d) -> const StatDef & {
         if (d.kind != kind || std::strcmp(d.name, name) != 0 ||
-            d.words != words || d.bucketWidth != bucket_width ||
-            d.numBuckets != num_buckets || d.formula != fn)
+            d.words != words || d.formula != fn)
             fatal("stat schema %s: slot %u bound as '%s' but registered "
                   "as '%s' — every instance of a component type must "
                   "register the same stats in the same order",
@@ -146,8 +144,6 @@ StatSchema::bind(unsigned pos, const char *name, const char *desc,
     d.kind = kind;
     d.words = words;
     d.offset = dataWords_.load(std::memory_order_relaxed);
-    d.bucketWidth = bucket_width;
-    d.numBuckets = num_buckets;
     d.formula = fn;
     d.ctxIndex = (kind == StatKind::Formula) ? ctxCount_++ : 0;
     dataWords_.store(d.offset + words, std::memory_order_release);
@@ -169,8 +165,6 @@ StatView::number() const
       case StatKind::Average:
         return w[1] ? statWordAsDouble(w) / static_cast<double>(w[1])
                     : 0.0;
-      case StatKind::Histogram:
-        return static_cast<double>(w[0]); // sample count
       case StatKind::Formula:
         return def_->formula
                    ? def_->formula(group_->ctx_[def_->ctxIndex])
@@ -200,19 +194,6 @@ StatView::format() const
                                  / static_cast<double>(w[1])
                            : 0.0,
                       static_cast<unsigned long long>(w[1]));
-      case StatKind::Histogram: {
-        std::string out = strfmt("n=%llu [",
-                                 static_cast<unsigned long long>(w[0]));
-        for (std::uint32_t i = 0; i < def_->numBuckets; ++i) {
-            out += strfmt("%llu",
-                          static_cast<unsigned long long>(w[2 + i]));
-            if (i + 1 < def_->numBuckets)
-                out += " ";
-        }
-        out += strfmt("] ovf=%llu",
-                      static_cast<unsigned long long>(w[1]));
-        return out;
-      }
       case StatKind::Formula:
         return strfmt("%.6f", number());
     }
@@ -253,12 +234,10 @@ StatGroup::ensureSchema()
 
 std::uint64_t *
 StatGroup::bindWords(const char *name, const char *desc, StatKind kind,
-                     std::uint32_t words, std::uint64_t bucket_width,
-                     std::uint32_t num_buckets)
+                     std::uint32_t words)
 {
     const StatDef &d = ensureSchema().bind(cursor_++, name, desc, kind,
-                                           words, nullptr, bucket_width,
-                                           num_buckets);
+                                           words);
     if (d.offset + d.words > kSheetWords)
         fatal("stat group %s: sheet overflow binding '%s' (%u words); "
               "raise StatGroup::kSheetWords",
@@ -353,29 +332,6 @@ StatGroup::visitImpl(const std::function<void(const std::string &,
         c->visitImpl(fn, prefix);
         prefix.resize(len);
     }
-}
-
-// --------------------------------------------------------------------------
-// Histogram
-// --------------------------------------------------------------------------
-
-Histogram::Histogram(StatGroup *group, const char *name, const char *desc,
-                     std::uint64_t bucket_width, unsigned num_buckets)
-    : w_(group->bindWords(name, desc, StatKind::Histogram,
-                          2 + num_buckets, bucket_width, num_buckets)),
-      bucketWidth_(bucket_width), numBuckets_(num_buckets)
-{
-    if (bucket_width == 0 || num_buckets == 0)
-        fatal("histogram %s: zero bucket width or count", name);
-}
-
-std::uint64_t
-Histogram::bucketCount(unsigned i) const
-{
-    if (i >= numBuckets_)
-        panic("histogram: bucket %u out of range (%u buckets)", i,
-              numBuckets_);
-    return w_[2 + i];
 }
 
 } // namespace mtrap

@@ -19,7 +19,7 @@
  *    each StatGroup: constructing a component's stats is a memset, and
  *    resetAll() is a memset. No heap allocation, no string formatting.
  *
- * Counter/Average/Histogram/Formula are thin typed handles pointing
+ * Counter/Average/Formula are thin typed handles pointing
  * into the sheet; component code (`++hits`, `latency.sample(x)`) is
  * unchanged. Full dotted names ("system.core0.l1d.hits") are
  * materialized lazily, only at dump/visit time, from the interned
@@ -100,7 +100,7 @@ class StatName
     NameId id_ = 0;
 };
 
-enum class StatKind : std::uint8_t { Counter, Average, Histogram, Formula };
+enum class StatKind : std::uint8_t { Counter, Average, Formula };
 
 /** Derived-stat evaluator: a pure function of its per-instance context
  *  (usually the owning component). Must be a plain function pointer so
@@ -117,8 +117,6 @@ struct StatDef
     std::uint32_t offset = 0;   ///< first data word in the sheet
     std::uint32_t words = 0;    ///< data words occupied
     std::uint32_t ctxIndex = 0; ///< formula context slot
-    std::uint32_t numBuckets = 0;
-    std::uint64_t bucketWidth = 0;
     FormulaFn formula = nullptr;
 };
 
@@ -155,9 +153,7 @@ class StatSchema
     /** Register-or-verify the def at position `pos` (see class docs). */
     const StatDef &bind(unsigned pos, const char *name, const char *desc,
                         StatKind kind, std::uint32_t words,
-                        FormulaFn fn = nullptr,
-                        std::uint64_t bucket_width = 0,
-                        std::uint32_t num_buckets = 0);
+                        FormulaFn fn = nullptr);
 
     static constexpr unsigned kMaxDefs = 24;
 
@@ -277,9 +273,7 @@ class StatGroup
 
     // --- binding API (used by the typed handles below) -------------------
     std::uint64_t *bindWords(const char *name, const char *desc,
-                             StatKind kind, std::uint32_t words,
-                             std::uint64_t bucket_width = 0,
-                             std::uint32_t num_buckets = 0);
+                             StatKind kind, std::uint32_t words);
     void bindFormula(const char *name, const char *desc, FormulaFn fn,
                      const void *ctx);
 
@@ -376,37 +370,6 @@ class Average
 
   private:
     std::uint64_t *w_;
-};
-
-/** Fixed-bucket histogram over [0, max) plus an overflow bucket:
- *  [samples][overflow][buckets...] sheet words. */
-class Histogram
-{
-  public:
-    Histogram(StatGroup *group, const char *name, const char *desc,
-              std::uint64_t bucket_width, unsigned num_buckets);
-
-    Histogram(const Histogram &) = delete;
-    Histogram &operator=(const Histogram &) = delete;
-
-    void sample(std::uint64_t v)
-    {
-        ++w_[0];
-        const std::uint64_t idx = v / bucketWidth_;
-        if (idx >= numBuckets_)
-            ++w_[1];
-        else
-            ++w_[2 + idx];
-    }
-    std::uint64_t bucketCount(unsigned i) const;
-    std::uint64_t overflow() const { return w_[1]; }
-    std::uint64_t samples() const { return w_[0]; }
-    void reset() { std::memset(w_, 0, (2 + numBuckets_) * 8); }
-
-  private:
-    std::uint64_t *w_;
-    std::uint64_t bucketWidth_;
-    std::uint32_t numBuckets_;
 };
 
 /** Derived value computed on demand from other stats. The evaluator is

@@ -1,6 +1,7 @@
 #include "mem/memory.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 #include "snapshot/snapshot.hh"
@@ -59,18 +60,63 @@ MainMemory::rowOf(Addr addr) const
 }
 
 void
+MainMemory::write(Addr addr, std::uint64_t value)
+{
+    const Addr word = addr & ~static_cast<Addr>(7);
+    const std::uint64_t ppn = word >> kPageShift;
+    std::size_t i;
+    if (const std::uint64_t *found = pageIndex_.find(ppn)) {
+        i = *found;
+    } else {
+        i = pages_.size();
+        pages_.emplace_back();
+        pageIndex_.put(ppn, i);
+    }
+    Page &p = pages_[i];
+    const unsigned off = pageOffset(word);
+    const std::size_t rank = p.rank(off);
+    if (p.has(off)) {
+        p.words[rank] = value;
+        return;
+    }
+    p.words.insert(p.words.begin() + static_cast<std::ptrdiff_t>(rank),
+                   value);
+    p.written[off / 64] |= std::uint64_t{1} << (off % 64);
+    for (unsigned j = off / 64 + 1; j < kPageWords / 64; ++j)
+        ++p.before[j];
+}
+
+std::size_t
+MainMemory::footprintWords() const
+{
+    std::size_t n = 0;
+    for (const Page &p : pages_)
+        n += p.words.size();
+    return n;
+}
+
+void
 MainMemory::saveState(Serializer &s) const
 {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> words;
-    words.reserve(store_.size());
-    store_.forEach([&](std::uint64_t k, std::uint64_t v) {
-        words.emplace_back(k, v);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> order;
+    order.reserve(pages_.size());
+    pageIndex_.forEach([&](std::uint64_t ppn, std::uint64_t i) {
+        order.emplace_back(ppn, i);
     });
-    std::sort(words.begin(), words.end());
-    s.u64(words.size());
-    for (const auto &[k, v] : words) {
-        s.u64(k);
-        s.u64(v);
+    std::sort(order.begin(), order.end());
+    s.u64(footprintWords());
+    for (const auto &[ppn, i] : order) {
+        const Page &p = pages_[i];
+        std::size_t rank = 0;
+        for (unsigned j = 0; j < kPageWords / 64; ++j) {
+            for (std::uint64_t bits = p.written[j]; bits;
+                 bits &= bits - 1) {
+                const unsigned off =
+                    64 * j + static_cast<unsigned>(std::countr_zero(bits));
+                s.u64((ppn << kPageShift) | (Addr{off} << 3));
+                s.u64(p.words[rank++]);
+            }
+        }
     }
     s.vec(openRow_);
 }
@@ -78,12 +124,13 @@ MainMemory::saveState(Serializer &s) const
 void
 MainMemory::restoreState(Deserializer &d)
 {
-    store_.clear();
+    pageIndex_.clear();
+    pages_.clear();
     const std::uint64_t n = d.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
         const std::uint64_t k = d.u64();
         const std::uint64_t v = d.u64();
-        store_.put(k, v);
+        write(k, v);
     }
     std::vector<Addr> rows;
     d.vec(rows);

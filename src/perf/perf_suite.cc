@@ -346,7 +346,8 @@ defaultScenarios()
         "functional-read-heavy 4-core PARSEC profile (freqmine: pointer "
         "chasing and random reads over big shared trees) under full "
         "MuonTrap — stresses functional reads (address translation "
-        "and the sparse word store)",
+        "and the page-compressed word store's directory probe and "
+        "popcount rank)",
         [] { return buildParsecWorkload("freqmine", 4); },
         Scheme::MuonTrap));
 

@@ -136,7 +136,8 @@ class MemSystem final : public MemIface, public PtwAccessIface
     Cycle timeIfetchProbe(CoreId core, Asid asid, Addr vaddr);
 
     /**
-     * Checkpoint the whole hierarchy: main memory word store, L2,
+     * Checkpoint the whole hierarchy: main memory (written words and
+     * open DRAM rows), L2,
      * prefetcher (when enabled), then per core the
      * L1s, TLBs, MuonTrap filters and spec buffer. The bus and walkers
      * hold no mutable state beyond statistics.

@@ -13,8 +13,8 @@
  *
  * Only Counter-kind stats are captured: they are monotonic within a
  * measured phase, so interval deltas are well defined and sum exactly
- * to the end-of-run aggregate (the property the tests pin). Averages,
- * histograms and formulas are derivable offline from counter columns.
+ * to the end-of-run aggregate (the property the tests pin). Averages
+ * and formulas are derivable offline from counter columns.
  */
 
 #ifndef MTRAP_TRACE_STATS_SERIES_HH

@@ -108,26 +108,6 @@ TEST(Stats, AverageBasics)
     EXPECT_EQ(a.count(), 2u);
 }
 
-TEST(Stats, HistogramBuckets)
-{
-    StatGroup g("g");
-    Histogram h(&g, "h", "a histogram", 10, 4);
-    h.sample(0);
-    h.sample(9);
-    h.sample(10);
-    h.sample(39);
-    h.sample(40);   // overflow
-    h.sample(1000); // overflow
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.samples(), 6u);
-    h.reset();
-    EXPECT_EQ(h.samples(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-}
-
 namespace
 {
 

@@ -7,7 +7,8 @@
 #      exists — globs like tests/golden/*.json must match something;
 #      placeholders containing <...> are skipped;
 #   2. every --flag mentioned is a real flag of one of the CLI tools,
-#      i.e. appears as a whole token somewhere in tools/*.cc (cmake's
+#      i.e. appears as a whole token somewhere in tools/*.cc or
+#      tools/*.py (cmake's
 #      --build and ctest's --output-on-failure, used in the README
 #      build instructions, are allowlisted).
 #
@@ -42,8 +43,8 @@ for f in "${docs[@]}"; do
             --build | --output-on-failure) continue ;;
         esac
         name="${flag#--}"
-        grep -qE -- "--${name}([^a-z0-9-]|\$)" tools/*.cc \
-            || { echo "$f: unknown flag (not in tools/*.cc): $flag"; fail=1; }
+        grep -qE -- "--${name}([^a-z0-9-]|\$)" tools/*.cc tools/*.py \
+            || { echo "$f: unknown flag (not in tools/*.cc or tools/*.py): $flag"; fail=1; }
     done < <(grep -oE -- '--[a-z][a-z0-9-]*' "$f" | sort -u)
 done
 
