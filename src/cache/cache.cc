@@ -88,7 +88,7 @@ Cache::fill(Addr paddr, CoherState st, Eviction *ev)
     for (unsigned w = 0; w < params_.assoc; ++w) {
         if (base[w].valid() && base[w].ptag == ln) {
             base[w].state = st;
-            base[w].replStamp = ++stamp_;
+            base[w].replStamp = nextStamp();
             if (ev)
                 *ev = Eviction{};
             return base[w];
@@ -125,7 +125,7 @@ Cache::fill(Addr paddr, CoherState st, Eviction *ev)
     l.clear();
     l.ptag = ln;
     l.state = st;
-    l.replStamp = ++stamp_;
+    l.replStamp = nextStamp();
     ++fills;
     return l;
 }
@@ -164,14 +164,73 @@ Cache::validLineCount() const
 }
 
 void
+Cache::stampExhausted() const
+{
+    panic("%s: LRU clock reached 2^%u", params_.name.c_str(),
+          CacheLine::kStampBits);
+}
+
+namespace
+{
+
+/** One line as its fields, not its in-memory (bit-field) layout. */
+void
+saveLine(Serializer &s, const CacheLine &l)
+{
+    s.u64(l.ptag);
+    s.u64(l.replStamp);
+    s.u8(static_cast<std::uint8_t>(l.state));
+    s.b(l.committed);
+    s.b(l.sePending);
+    s.b(l.dirty);
+    s.u8(l.fillLevel);
+    s.b(l.prefetched);
+}
+
+/** A snapshot byte that must be 0 or 1. */
+bool
+restoreBit(Deserializer &d)
+{
+    const std::uint8_t v = d.u8();
+    if (v > 1)
+        throw SnapshotError("cache line flag is not 0 or 1");
+    return v != 0;
+}
+
+void
+restoreLine(Deserializer &d, CacheLine &l)
+{
+    l.ptag = d.u64();
+    const std::uint64_t stamp = d.u64();
+    if (stamp >= CacheLine::kStampLimit)
+        throw SnapshotError("cache line LRU stamp out of range");
+    l.replStamp = stamp;
+    const std::uint8_t state = d.u8();
+    if (state > static_cast<std::uint8_t>(CoherState::Modified))
+        throw SnapshotError("cache line coherence state out of range");
+    l.state = static_cast<CoherState>(state);
+    l.committed = restoreBit(d);
+    l.sePending = restoreBit(d);
+    l.dirty = restoreBit(d);
+    const std::uint8_t level = d.u8();
+    if (level > 3)
+        throw SnapshotError("cache line fill level out of range");
+    l.fillLevel = level;
+    l.prefetched = restoreBit(d);
+}
+
+} // namespace
+
+void
 Cache::saveState(Serializer &s) const
 {
-    // Touched sets, sparse, in ascending index order. Lines are
-    // trivially-copyable PODs; the format version covers their layout.
+    // Touched sets, sparse, in ascending index order; each line as its
+    // fields, so the bytes do not depend on CacheLine's packing.
     s.u32(lines_.touchedSetCount());
     lines_.forEachTouchedSet([&](unsigned set, const CacheLine *base) {
         s.u32(set);
-        s.raw(base, sizeof(CacheLine) * params_.assoc);
+        for (unsigned w = 0; w < params_.assoc; ++w)
+            saveLine(s, base[w]);
     });
 
     s.u64(stamp_);
@@ -201,10 +260,14 @@ Cache::restoreState(Deserializer &d)
         const std::uint32_t set = d.u32();
         if (set >= sets_)
             throw SnapshotError("cache set index out of range");
-        d.raw(lines_.set(set), sizeof(CacheLine) * params_.assoc);
+        CacheLine *base = lines_.set(set);
+        for (unsigned w = 0; w < params_.assoc; ++w)
+            restoreLine(d, base[w]);
     }
 
     stamp_ = d.u64();
+    if (stamp_ >= CacheLine::kStampLimit)
+        throw SnapshotError("cache LRU clock out of range");
     std::vector<Cycle> mshr;
     d.vec(mshr);
     if (mshr.size() != mshrFree_.size())

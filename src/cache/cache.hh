@@ -52,7 +52,7 @@ struct Eviction
 /**
  * Lazily-initialised cache-line storage over a pooled buffer.
  *
- * A Table-1 L2's line array is ~2 MB of metadata, and eagerly
+ * A Table-1 L2's line array is 512 KiB of metadata, and eagerly
  * default-constructing it dominated System construction (~0.5 ms) for
  * the short-run sweeps (attack choreographies, harness job churn) that
  * build thousands of systems while touching a handful of sets each.
@@ -218,7 +218,7 @@ class Cache
         for (unsigned w = 0; w < params_.assoc; ++w) {
             CacheLine &l = base[w];
             if (l.valid() && l.ptag == ln) {
-                l.replStamp = ++stamp_;
+                l.replStamp = nextStamp();
                 return &l;
             }
         }
@@ -285,10 +285,11 @@ class Cache
     Cycle reserveMshr(Addr paddr, Cycle when, Cycle miss_latency);
 
     /**
-     * Checkpoint the cache's mutable state: touched line sets (sparse),
-     * the LRU stamp counter, MSHR slots and in-flight fills. Stats
-     * sheets are handled by the System-level stats section. FilterCache
-     * extends this with its virtual-tag arrays.
+     * Checkpoint the cache's mutable state: touched line sets (sparse,
+     * each line as its fields), the LRU stamp counter, MSHR slots and
+     * in-flight fills. Stats sheets are handled by the System-level
+     * stats section. FilterCache extends this with its virtual-tag
+     * arrays. Restore rejects any field value a line cannot hold.
      */
     virtual void saveState(Serializer &s) const;
     virtual void restoreState(Deserializer &d);
@@ -301,6 +302,18 @@ class Cache
         return static_cast<unsigned>(lineNum(paddr) & (sets_ - 1));
     }
 
+    /** Advance the LRU clock. Every stamp must fit the line's 48-bit
+     *  replStamp: a wrapped stamp would make the most recently used
+     *  line look like the oldest, so the clock stops the run first
+     *  (2^48 hits and fills is far beyond any simulated run). */
+    std::uint64_t nextStamp()
+    {
+        if (++stamp_ >= CacheLine::kStampLimit) [[unlikely]]
+            stampExhausted();
+        return stamp_;
+    }
+    [[noreturn]] void stampExhausted() const;
+
     CacheParams params_;
     unsigned sets_;
     /** Pool-backed and lazily constructed: systems are built and torn
@@ -308,8 +321,9 @@ class Cache
      *  recycling avoids first-touch page faults and the per-set lazy
      *  init avoids paying for megabytes of untouched metadata. */
     LineArray lines_;
-    /** LRU clock: every hit and fill writes ++stamp_ to the line's
-     *  replStamp, so the smallest stamp in a set is its LRU line. */
+    /** LRU clock: every hit and fill writes nextStamp() to the line's
+     *  replStamp, so the smallest stamp in a set is its LRU line.
+     *  Always below CacheLine::kStampLimit. */
     std::uint64_t stamp_ = 0;
     std::vector<Cycle> mshrFree_;
     /** Outstanding fills: line number -> data-arrival cycle. Sized to

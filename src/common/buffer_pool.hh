@@ -6,7 +6,7 @@
  * and the buffers the pool kept for a hash table that doubled as it
  * filled were about a third of a timeshare run's peak memory.
  *
- * Building a Table-1 system allocates ~1 MB of line metadata; the
+ * Building a Table-1 system allocates ~0.6 MB of line metadata; the
  * security choreographies and the experiment harness construct and
  * destroy whole systems continuously, and on first touch every fresh
  * allocation pays kernel page faults — measured at several hundred

@@ -131,10 +131,14 @@ BranchPredictor::predictTarget(Addr pc)
 void
 BranchPredictor::trainTarget(Addr pc, Addr target)
 {
+    if (pc >= kBtbInvalid || target >= kBtbInvalid)
+        panic("BTB: pc %#llx -> %#llx is not a 32-bit instruction index",
+              static_cast<unsigned long long>(pc),
+              static_cast<unsigned long long>(target));
     BtbEntry &e = btb_[static_cast<unsigned>(pc)
                        & (params_.btbEntries - 1)];
-    e.pc = pc;
-    e.target = target;
+    e.pc = static_cast<std::uint32_t>(pc);
+    e.target = static_cast<std::uint32_t>(target);
 }
 
 void
@@ -184,9 +188,14 @@ BranchPredictor::saveState(Serializer &s) const
     s.vec(chooser_);
     s.u64(globalHistory_);
     s.u64(btb_.size());
+    // u64 fields, an empty one as kAddrInvalid: the bytes predate the
+    // 32-bit entries.
+    auto wide = [](std::uint32_t v) {
+        return v == kBtbInvalid ? kAddrInvalid : Addr{v};
+    };
     for (const BtbEntry &e : btb_) {
-        s.u64(e.pc);
-        s.u64(e.target);
+        s.u64(wide(e.pc));
+        s.u64(wide(e.target));
     }
     s.vec(ras_);
     s.u32(rasTop_);
@@ -209,9 +218,21 @@ BranchPredictor::restoreState(Deserializer &d)
     globalHistory_ = d.u64();
     if (d.u64() != btb_.size())
         throw SnapshotError("BTB size mismatch");
+    auto narrow = [&d]() {
+        const std::uint64_t v = d.u64();
+        if (v == kAddrInvalid)
+            return kBtbInvalid;
+        if (v >= kBtbInvalid)
+            throw SnapshotError("BTB pc or target is not a 32-bit index");
+        return static_cast<std::uint32_t>(v);
+    };
     for (BtbEntry &e : btb_) {
-        e.pc = d.u64();
-        e.target = d.u64();
+        e.pc = narrow();
+        e.target = narrow();
+        // trainTarget always writes both; a hit on this entry would
+        // return the 32-bit empty marker instead of kAddrInvalid.
+        if (e.pc != kBtbInvalid && e.target == kBtbInvalid)
+            throw SnapshotError("BTB entry has a pc but no target");
     }
     restoreSized(ras_, "RAS");
     rasTop_ = d.u32();

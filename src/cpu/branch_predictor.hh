@@ -39,7 +39,9 @@ struct BranchPredictorParams
 
 /**
  * Tournament predictor with BTB and RAS. PCs are instruction indices
- * (the core's view); the predictor does not care about their scale.
+ * (the core's view). The BTB stores pc and target as 32-bit indices, so
+ * both must be below 2^32 - 1 (the top value marks an empty entry);
+ * Core::WinEntry::pcIndex makes the same assumption.
  */
 class BranchPredictor
 {
@@ -59,7 +61,7 @@ class BranchPredictor
      *  the BTB has no entry. */
     Addr predictTarget(Addr pc);
 
-    /** Install/refresh a BTB entry. */
+    /** Install/refresh a BTB entry (pc and target below 2^32 - 1). */
     void trainTarget(Addr pc, Addr target);
 
     /** RAS push on call. */
@@ -100,12 +102,15 @@ class BranchPredictor
     std::vector<std::uint8_t> chooser_;
     std::uint64_t globalHistory_ = 0;
 
+    /** Empty BTB field; reads back as kAddrInvalid. */
+    static constexpr std::uint32_t kBtbInvalid = 0xffff'ffffu;
     struct BtbEntry
     {
-        Addr pc = kAddrInvalid;
-        Addr target = kAddrInvalid;
+        std::uint32_t pc = kBtbInvalid;
+        std::uint32_t target = kBtbInvalid;
     };
-    /** 4096 x 16 B: pool-allocated, rebuilt with every System. */
+    static_assert(sizeof(BtbEntry) == 8, "two 32-bit instruction indices");
+    /** 4096 x 8 B: pool-allocated, rebuilt with every System. */
     std::vector<BtbEntry, PoolAllocator<BtbEntry>> btb_;
 
     std::vector<Addr> ras_;

@@ -64,15 +64,14 @@ MainMemory::write(Addr addr, std::uint64_t value)
 {
     const Addr word = addr & ~static_cast<Addr>(7);
     const std::uint64_t ppn = word >> kPageShift;
-    std::size_t i;
+    Page *page;
     if (const std::uint64_t *found = pageIndex_.find(ppn)) {
-        i = *found;
+        page = reinterpret_cast<Page *>(*found);
     } else {
-        i = pages_.size();
-        pages_.emplace_back();
-        pageIndex_.put(ppn, i);
+        page = &pages_.emplace_back();
+        pageIndex_.put(ppn, reinterpret_cast<std::uintptr_t>(page));
     }
-    Page &p = pages_[i];
+    Page &p = *page;
     const unsigned off = pageOffset(word);
     const std::size_t rank = p.rank(off);
     if (p.has(off)) {
@@ -100,13 +99,13 @@ MainMemory::saveState(Serializer &s) const
 {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> order;
     order.reserve(pages_.size());
-    pageIndex_.forEach([&](std::uint64_t ppn, std::uint64_t i) {
-        order.emplace_back(ppn, i);
+    pageIndex_.forEach([&](std::uint64_t ppn, std::uint64_t rec) {
+        order.emplace_back(ppn, rec);
     });
     std::sort(order.begin(), order.end());
     s.u64(footprintWords());
-    for (const auto &[ppn, i] : order) {
-        const Page &p = pages_[i];
+    for (const auto &[ppn, rec] : order) {
+        const Page &p = *reinterpret_cast<const Page *>(rec);
         std::size_t rank = 0;
         for (unsigned j = 0; j < kPageWords / 64; ++j) {
             for (std::uint64_t bits = p.written[j]; bits;

@@ -13,6 +13,7 @@
 #define MTRAP_MEM_MEMORY_HH
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "common/flat_map.hh"
@@ -62,7 +63,7 @@ class MainMemory
     {
         const Addr word = addr & ~static_cast<Addr>(7);
         if (const std::uint64_t *i = pageIndex_.find(word >> kPageShift)) {
-            const Page &p = pages_[*i];
+            const Page &p = *reinterpret_cast<const Page *>(*i);
             const unsigned off = pageOffset(word);
             if (p.has(off))
                 return p.words[p.rank(off)];
@@ -132,10 +133,14 @@ class MainMemory
     Addr rowOf(Addr addr) const;
 
     MemoryParams params_;
-    /** Page directory: physical page number -> index into `pages_`.
-     *  Only pages with a written word have a record. */
+    /** Page directory: physical page number -> address of its record
+     *  in `pages_`. Only pages with a written word have a record. */
     FlatWordMap pageIndex_{256};
-    std::vector<Page> pages_;
+    /** Page records (104 B each) in chunked storage: a new record
+     *  never moves an old one, so the directory can point at them and
+     *  growth copies nothing (a doubling vector held both its old and
+     *  new buffers at the load-time memory peak). */
+    std::deque<Page> pages_;
     /** Currently open row per bank (kAddrInvalid = closed). */
     std::vector<Addr> openRow_;
 

@@ -35,6 +35,12 @@ parseBenchJson(const std::string &text, BenchFile &out, std::string &err)
     if (const JsonValue *mode = root.field("mode");
         mode && mode->kind == JsonValue::Kind::String)
         out.mode = mode->string;
+    out.workVersion = static_cast<unsigned>(
+        jsonNumberField(root, "work_version", 0.0));
+    out.measureInstructions = static_cast<std::uint64_t>(
+        jsonNumberField(root, "measure_instructions", 0.0));
+    out.warmupInstructions = static_cast<std::uint64_t>(
+        jsonNumberField(root, "warmup_instructions", 0.0));
 
     const JsonValue *scenarios = root.field("scenarios");
     if (!scenarios || scenarios->kind != JsonValue::Kind::Array) {
@@ -54,6 +60,10 @@ parseBenchJson(const std::string &text, BenchFile &out, std::string &err)
         bs.wallSeconds = jsonNumberField(s, "wall_seconds", 0.0);
         bs.instructionsPerSecond =
             jsonNumberField(s, "instructions_per_second", 0.0);
+        bs.instructions = static_cast<std::uint64_t>(
+            jsonNumberField(s, "instructions", 0.0));
+        bs.simCycles = static_cast<std::uint64_t>(
+            jsonNumberField(s, "sim_cycles", 0.0));
         out.scenarios.push_back(std::move(bs));
     }
 
@@ -66,10 +76,15 @@ parseBenchJson(const std::string &text, BenchFile &out, std::string &err)
 }
 
 BenchFile
-benchFileFromResults(const std::vector<ScenarioResult> &results)
+benchFileFromResults(const std::vector<ScenarioResult> &results,
+                     const PerfOptions &opt)
 {
     BenchFile f;
     f.schema = "mtrap-bench-v1";
+    f.mode = opt.quick ? "quick" : "full";
+    f.workVersion = kBenchWorkVersion;
+    f.measureInstructions = opt.measureInstructions;
+    f.warmupInstructions = opt.warmupInstructions;
     f.ok = true;
     for (const ScenarioResult &r : results) {
         BenchScenario bs;
@@ -77,6 +92,8 @@ benchFileFromResults(const std::vector<ScenarioResult> &results)
         bs.ok = r.ok;
         bs.wallSeconds = r.wallSeconds;
         bs.instructionsPerSecond = r.instructionsPerSecond();
+        bs.instructions = r.instructions;
+        bs.simCycles = r.simCycles;
         f.scenarios.push_back(std::move(bs));
         f.ok = f.ok && r.ok;
     }
@@ -100,6 +117,27 @@ compareBench(const BenchFile &baseline, const BenchFile &candidate,
         }
     }
 
+    // Simulated work is comparable only between runs of the same mode,
+    // run lengths and work version.
+    const bool same_work =
+        !baseline.mode.empty() && baseline.mode == candidate.mode
+        && baseline.workVersion == candidate.workVersion
+        && baseline.measureInstructions == candidate.measureInstructions
+        && baseline.warmupInstructions == candidate.warmupInstructions;
+    if (!same_work) {
+        auto shape = [](const BenchFile &f) {
+            return strfmt("%s v%u %llu/%llu", f.mode.c_str(),
+                          f.workVersion,
+                          static_cast<unsigned long long>(
+                              f.measureInstructions),
+                          static_cast<unsigned long long>(
+                              f.warmupInstructions));
+        };
+        txt += "note  runs differ in mode, work version or length (" +
+               shape(baseline) + " vs " + shape(candidate) +
+               "); simulated work not compared\n";
+    }
+
     std::map<std::string, const BenchScenario *> base_by_name;
     for (const BenchScenario &s : baseline.scenarios)
         base_by_name[s.name] = &s;
@@ -117,6 +155,19 @@ compareBench(const BenchFile &baseline, const BenchFile &candidate,
         base_by_name.erase(it);
         if (!s.ok)
             continue; // already reported as an error above
+        if (same_work && b.ok
+            && (s.instructions != b.instructions
+                || s.simCycles != b.simCycles)) {
+            txt += strfmt("FAIL  %-40s simulated work changed: "
+                          "instructions %llu -> %llu, sim_cycles "
+                          "%llu -> %llu\n",
+                          s.name.c_str(),
+                          static_cast<unsigned long long>(b.instructions),
+                          static_cast<unsigned long long>(s.instructions),
+                          static_cast<unsigned long long>(b.simCycles),
+                          static_cast<unsigned long long>(s.simCycles));
+            ++rep.workMismatches;
+        }
         if (!(s.instructionsPerSecond > 0.0) ||
             !std::isfinite(s.instructionsPerSecond)) {
             // "Ran fine" but produced no (or non-finite) throughput: an
@@ -166,7 +217,7 @@ compareBench(const BenchFile &baseline, const BenchFile &candidate,
     // the boundary does not flip on the last ulp.
     const bool regressed = rep.commonScenarios
                            && regress_pct - opt.maxRegressPct > 1e-9;
-    rep.pass = !candidate_errors && !regressed;
+    rep.pass = !candidate_errors && !regressed && !rep.workMismatches;
 
     if (rep.commonScenarios) {
         txt += strfmt("geomean over %zu common scenario(s): %+.1f%% "
@@ -177,10 +228,15 @@ compareBench(const BenchFile &baseline, const BenchFile &candidate,
     } else {
         txt += "no common scenarios; throughput not compared\n";
     }
-    txt += rep.pass ? "PASS: no perf regression\n"
-                    : (candidate_errors
-                           ? "FAIL: scenario errors in candidate run\n"
-                           : "FAIL: geomean throughput regression\n");
+    if (rep.pass)
+        txt += "PASS: no perf regression\n";
+    if (candidate_errors)
+        txt += "FAIL: scenario errors in candidate run\n";
+    if (rep.workMismatches)
+        txt += strfmt("FAIL: simulated work changed in %zu scenario(s)\n",
+                      rep.workMismatches);
+    if (regressed)
+        txt += "FAIL: geomean throughput regression\n";
     return rep;
 }
 

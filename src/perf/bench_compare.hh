@@ -5,22 +5,29 @@
  *
  * Parses two "mtrap-bench-v1" files (see perf_suite.hh for the schema)
  * and compares per-scenario throughput. The verdict fails when any
- * candidate scenario errored, or when the geometric-mean throughput
- * ratio over the scenarios common to both runs regresses by more than
- * the threshold. Scenarios present on only one side are reported but
- * never fail the gate — suites are allowed to grow and shrink across
- * commits without tripping the comparison.
+ * candidate scenario errored, when the geometric-mean throughput ratio
+ * over the scenarios common to both runs regresses by more than the
+ * threshold, or when both files did the same work (same mode, run
+ * lengths and kBenchWorkVersion) and a common scenario's simulated
+ * `instructions` or `sim_cycles` differ: those counts are
+ * deterministic, so a change that moves them changed simulated
+ * behaviour, not speed, and must say so by bumping kBenchWorkVersion.
+ * Scenarios present on only one side are reported but never fail the
+ * gate — suites are allowed to grow and shrink across commits without
+ * tripping the comparison.
  */
 
 #ifndef MTRAP_PERF_BENCH_COMPARE_HH
 #define MTRAP_PERF_BENCH_COMPARE_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace mtrap::perf
 {
 
+struct PerfOptions;
 struct ScenarioResult;
 
 /** One scenario as read back from a BENCH.json. */
@@ -30,6 +37,9 @@ struct BenchScenario
     bool ok = false;
     double wallSeconds = 0.0;
     double instructionsPerSecond = 0.0;
+    /** Simulated work: deterministic for a given mode and run length. */
+    std::uint64_t instructions = 0;
+    std::uint64_t simCycles = 0;
 };
 
 /** One parsed BENCH.json. */
@@ -37,6 +47,10 @@ struct BenchFile
 {
     std::string schema;
     std::string mode;
+    /** kBenchWorkVersion of the writer; 0 in files that predate it. */
+    unsigned workVersion = 0;
+    std::uint64_t measureInstructions = 0;
+    std::uint64_t warmupInstructions = 0;
     std::vector<BenchScenario> scenarios;
     double scoreKips = 0.0;
     bool ok = false;
@@ -50,8 +64,10 @@ struct BenchFile
 bool parseBenchJson(const std::string &text, BenchFile &out,
                     std::string &err);
 
-/** Convert fresh in-process results to the comparison shape. */
-BenchFile benchFileFromResults(const std::vector<ScenarioResult> &results);
+/** Convert fresh in-process results, run under `opt`, to the
+ *  comparison shape. */
+BenchFile benchFileFromResults(const std::vector<ScenarioResult> &results,
+                               const PerfOptions &opt);
 
 struct CompareOptions
 {
@@ -67,6 +83,9 @@ struct CompareReport
      *  1.0 when there is no common scenario. */
     double geomeanRatio = 1.0;
     std::size_t commonScenarios = 0;
+    /** Common scenarios whose simulated instructions or cycles differ
+     *  (counted only when both files did the same work). */
+    std::size_t workMismatches = 0;
     /** Human-readable per-scenario and verdict lines. */
     std::string text;
 };

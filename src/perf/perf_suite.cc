@@ -514,6 +514,7 @@ writeBenchJson(const std::vector<ScenarioResult> &results,
     os << "{\n";
     os << "  \"schema\": \"mtrap-bench-v1\",\n";
     os << "  \"mode\": \"" << (opt.quick ? "quick" : "full") << "\",\n";
+    os << "  \"work_version\": " << kBenchWorkVersion << ",\n";
     os << "  \"repeats\": " << opt.repeats << ",\n";
     os << "  \"measure_instructions\": " << opt.measureInstructions
        << ",\n";

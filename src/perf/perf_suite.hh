@@ -17,7 +17,10 @@
  * {
  *   "schema": "mtrap-bench-v1",
  *   "mode": "full" | "quick",
+ *   "work_version": V,                // kBenchWorkVersion
  *   "repeats": N,
+ *   "measure_instructions": M,
+ *   "warmup_instructions": U,
  *   "scenarios": [
  *     { "name": "...", "ok": true,
  *       "wall_seconds": W,            // best-of-repeats wall time
@@ -54,6 +57,16 @@
 
 namespace mtrap::perf
 {
+
+/**
+ * Version of the suite's simulated work. Every scenario's instructions
+ * and sim_cycles are deterministic, and `mtrap_perf --compare` fails
+ * when they differ between two files of the same mode, run lengths and
+ * work version. A change that moves them on purpose (a model change, a
+ * re-baselined scenario) bumps this, which makes its first comparison
+ * against an older file informational instead of failing.
+ */
+constexpr unsigned kBenchWorkVersion = 1;
 
 /** Scaling and repetition knobs for a suite run. */
 struct PerfOptions

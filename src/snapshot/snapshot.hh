@@ -56,8 +56,10 @@ class SnapshotError : public std::runtime_error
  *  accounting, arrival/finish stamps, weights, sleep state, busy
  *  cycles).
  *  v3: the memory-system section lost the prefetch commit channel's
- *  (always empty) queue, and the stats section its stat sheet. */
-constexpr std::uint32_t kSnapshotFormatVersion = 3;
+ *  (always empty) queue, and the stats section its stat sheet.
+ *  v4: the cache section records each line's fields instead of the raw
+ *  CacheLine bytes (which became a packed 16-byte layout). */
+constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /** Section tags, one per top-level component (fixed save order). */
 enum SnapshotTag : std::uint32_t {

@@ -1,6 +1,7 @@
 #include "workload/kernels.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/log.hh"
 #include "sim/mem_system.hh"
@@ -359,10 +360,14 @@ initChaseRing(MemSystem &mem, Asid asid, const WorkloadProfile &p,
         std::max<std::uint64_t>(2, bytes / kLineBytes);
     const Addr base = chaseBase(thread_id);
 
-    // Sattolo's algorithm: a single-cycle random permutation.
-    std::vector<std::uint64_t> next(nodes);
+    // Sattolo's algorithm: a single-cycle random permutation, in
+    // 32-bit indices (half the load-time peak of 64-bit ones).
+    if (nodes > std::numeric_limits<std::uint32_t>::max())
+        fatal("%s: chase ring of %llu lines exceeds 2^32",
+              p.name.c_str(), static_cast<unsigned long long>(nodes));
+    std::vector<std::uint32_t> next(nodes);
     for (std::uint64_t i = 0; i < nodes; ++i)
-        next[i] = i;
+        next[i] = static_cast<std::uint32_t>(i);
     Rng rng(p.seed * 31 + thread_id + 5);
     for (std::uint64_t i = nodes - 1; i > 0; --i)
         std::swap(next[i], next[rng.below(i)]);
@@ -370,7 +375,7 @@ initChaseRing(MemSystem &mem, Asid asid, const WorkloadProfile &p,
     // read as succ(i) = next[i]; write the ring into memory.
     for (std::uint64_t i = 0; i < nodes; ++i)
         mem.write(asid, base + i * kLineBytes,
-                  base + next[i] * kLineBytes);
+                  base + Addr{next[i]} * kLineBytes);
 }
 
 Workload

@@ -372,6 +372,135 @@ TEST(Cache, MshrMergesPinnedAcrossErase)
     EXPECT_EQ(b.mshrStalls.value(), 59u);
 }
 
+/** A 1 KiB 2-way cache (8 sets) holding one line of every kind: a
+ *  clean Shared line refreshed by a hit, a dirty Modified line, and an
+ *  uncommitted SE-pending Exclusive line filled from memory by a
+ *  prefetch. Set 2's second way stays empty. */
+void
+fillFixedLines(Cache &c)
+{
+    c.fill(0x0040, CoherState::Shared);              // line 1, set 1
+    c.fill(0x0240, CoherState::Modified).dirty = true; // line 9, set 1
+    CacheLine &l = c.fill(0x0080, CoherState::Exclusive); // line 2, set 2
+    l.committed = false;
+    l.sePending = true;
+    l.fillLevel = 3;
+    l.prefetched = true;
+    ASSERT_NE(c.lookup(0x0040), nullptr); // stamp 4
+}
+
+std::vector<std::uint8_t>
+saveBytes(const Cache &c)
+{
+    Serializer s;
+    c.saveState(s);
+    return s.bytes();
+}
+
+/** Restore `c` from saveState bytes framed as a one-section image. */
+void
+restoreBytes(Cache &c, const std::vector<std::uint8_t> &payload)
+{
+    Serializer s;
+    s.beginSection(1);
+    s.raw(payload.data(), payload.size());
+    s.endSection();
+    Deserializer d(frameSnapshot(s, 1, 2), 1, 2);
+    d.beginSection(1);
+    c.restoreState(d);
+    d.endSection();
+}
+
+/** Little-endian byte builder for pinned snapshot layouts. */
+struct LeBytes
+{
+    std::vector<std::uint8_t> v;
+
+    LeBytes &
+    put(std::uint64_t x, unsigned n)
+    {
+        for (unsigned i = 0; i < n; ++i)
+            v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
+        return *this;
+    }
+
+    /** One line: u64 tag, u64 stamp, then u8 state, committed,
+     *  sePending, dirty, fillLevel, prefetched. */
+    LeBytes &
+    line(Addr ptag, std::uint64_t stamp, unsigned state, unsigned committed,
+         unsigned se, unsigned dirty, unsigned level, unsigned prefetched)
+    {
+        put(ptag, 8).put(stamp, 8);
+        for (unsigned b : {state, committed, se, dirty, level, prefetched})
+            put(b, 1);
+        return *this;
+    }
+};
+
+TEST(Cache, SaveStateBytesArePinned)
+{
+    StatGroup g("g");
+    Cache c(smallCache(), &g);
+    fillFixedLines(c);
+
+    LeBytes expect;
+    expect.put(2, 4);                               // touched sets
+    expect.put(1, 4)                                // set 1
+        .line(1, 4, 1, 1, 0, 0, 0, 0)               // S, hit last
+        .line(9, 2, 3, 1, 0, 1, 0, 0);              // M, dirty
+    expect.put(2, 4)                                // set 2
+        .line(2, 3, 2, 0, 1, 0, 3, 1)               // E, speculative
+        .line(kAddrInvalid, 0, 0, 1, 0, 0, 0, 0);   // never filled
+    expect.put(4, 8);                               // LRU clock
+    expect.put(2, 8).put(0, 8).put(0, 8);           // MSHR slots
+    expect.put(0, 8);                               // in-flight fills
+    EXPECT_EQ(saveBytes(c), expect.v);
+}
+
+TEST(Cache, SaveRestoreSaveIsByteIdentical)
+{
+    StatGroup g("g");
+    Cache a(smallCache(), &g);
+    fillFixedLines(a);
+    a.reserveMshr(0x0400, 100, 40);
+    const std::vector<std::uint8_t> first = saveBytes(a);
+
+    Cache b(smallCache(), &g);
+    b.fill(0x0100, CoherState::Shared); // dropped by the restore
+    restoreBytes(b, first);
+
+    EXPECT_EQ(saveBytes(b), first);
+    EXPECT_EQ(b.peek(0x0100), nullptr);
+    const CacheLine *l = b.peek(0x0080);
+    ASSERT_NE(l, nullptr);
+    EXPECT_EQ(l->state, CoherState::Exclusive);
+    EXPECT_FALSE(l->committed);
+    EXPECT_TRUE(l->sePending);
+    EXPECT_EQ(l->fillLevel, 3);
+    EXPECT_TRUE(l->prefetched);
+    EXPECT_TRUE(b.peek(0x0240)->dirty);
+    // Same LRU order: set 1's next victim is the dirty line 9.
+    Eviction ev;
+    b.fill(0x0440, CoherState::Shared, &ev);
+    EXPECT_EQ(ev.ptag, 9u);
+    EXPECT_TRUE(ev.dirty);
+}
+
+TEST(CacheDeath, LruClockExhaustionPanics)
+{
+    // A clock one short of 2^48 restores; the next stamp would not fit
+    // the line's 48-bit field, so the cache stops instead of wrapping.
+    LeBytes img;
+    img.put(0, 4)                              // no touched sets
+        .put(CacheLine::kStampLimit - 1, 8)    // LRU clock
+        .put(2, 8).put(0, 8).put(0, 8)         // MSHR slots
+        .put(0, 8);                            // in-flight fills
+    StatGroup g("g");
+    Cache c(smallCache(), &g);
+    restoreBytes(c, img.v);
+    EXPECT_DEATH(c.fill(0x1000, CoherState::Shared), "LRU clock");
+}
+
 TEST(Cache, StatsCountFills)
 {
     StatGroup g("g");

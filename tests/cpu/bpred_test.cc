@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cpu/branch_predictor.hh"
+#include "snapshot/snapshot.hh"
 
 namespace mtrap
 {
@@ -106,6 +110,39 @@ TEST(Btb, ConflictingPcsEvict)
     bp.trainTarget(0x10 + 16, 0x222); // same BTB slot
     EXPECT_EQ(bp.predictTarget(0x10), kAddrInvalid);
     EXPECT_EQ(bp.predictTarget(0x10 + 16), 0x222u);
+}
+
+TEST(Btb, SnapshotWritesWideEntries)
+{
+    // The BTB stores 32-bit entries but saves u64 pc/target pairs, an
+    // empty field as kAddrInvalid: slot 0x50 holds the trained pair and
+    // slot 0x51 is empty.
+    StatGroup g("g");
+    BranchPredictor bp(BranchPredictorParams{}, &g);
+    bp.trainTarget(0x50, 0x1234);
+    Serializer s;
+    bp.saveState(s);
+    std::vector<std::uint8_t> pattern;
+    for (std::uint64_t w : {std::uint64_t{0x50}, std::uint64_t{0x1234},
+                            kAddrInvalid, kAddrInvalid})
+        for (unsigned i = 0; i < 8; ++i)
+            pattern.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
+    const auto &bytes = s.bytes();
+    EXPECT_NE(std::search(bytes.begin(), bytes.end(), pattern.begin(),
+                          pattern.end()),
+              bytes.end());
+
+    Serializer framed;
+    framed.beginSection(1);
+    bp.saveState(framed);
+    framed.endSection();
+    BranchPredictor back(BranchPredictorParams{}, &g);
+    Deserializer d(frameSnapshot(framed, 1, 2), 1, 2);
+    d.beginSection(1);
+    back.restoreState(d);
+    d.endSection();
+    EXPECT_EQ(back.predictTarget(0x50), 0x1234u);
+    EXPECT_EQ(back.predictTarget(0x51), kAddrInvalid);
 }
 
 TEST(Ras, PushPopLifo)

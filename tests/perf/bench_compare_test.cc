@@ -2,8 +2,9 @@
  * @file
  * BENCH.json regression-gate tests: the comparator must parse what
  * writeBenchJson emits, pass a clean A/A comparison, fail an injected
- * 10% geomean regression or any scenario error, tolerate suite
- * membership changes, and reject malformed input.
+ * 10% geomean regression, any scenario error or (same mode) any change
+ * in simulated work, tolerate suite membership changes, and reject
+ * malformed input.
  */
 
 #include <gtest/gtest.h>
@@ -44,9 +45,9 @@ sampleResults()
 }
 
 BenchFile
-roundTrip(const std::vector<ScenarioResult> &results)
+roundTrip(const std::vector<ScenarioResult> &results,
+          const PerfOptions &opt = PerfOptions{})
 {
-    PerfOptions opt;
     std::ostringstream os;
     writeBenchJson(results, opt, os);
     BenchFile f;
@@ -238,6 +239,98 @@ TEST(BenchCompare, GeomeanExactlyAtThresholdPasses)
     cand.scenarios[0].instructionsPerSecond =
         base.scenarios[0].instructionsPerSecond * 0.9499;
     EXPECT_FALSE(compareBench(base, cand).pass);
+}
+
+TEST(BenchCompare, ParsesSimulatedWorkAndRunShape)
+{
+    PerfOptions opt = PerfOptions::quickPreset();
+    const BenchFile f = roundTrip(sampleResults(), opt);
+    EXPECT_EQ(f.mode, "quick");
+    EXPECT_EQ(f.measureInstructions, opt.measureInstructions);
+    EXPECT_EQ(f.warmupInstructions, opt.warmupInstructions);
+    EXPECT_EQ(f.scenarios[1].instructions, 800'000u);
+    EXPECT_EQ(f.scenarios[1].simCycles, 1'600'000u);
+
+    // The in-process shape carries the same fields as the file.
+    const BenchFile g = benchFileFromResults(sampleResults(), opt);
+    EXPECT_EQ(g.mode, "quick");
+    EXPECT_EQ(g.workVersion, kBenchWorkVersion);
+    EXPECT_EQ(g.measureInstructions, opt.measureInstructions);
+    EXPECT_EQ(g.scenarios[1].instructions, 800'000u);
+    EXPECT_EQ(g.scenarios[1].simCycles, 1'600'000u);
+}
+
+TEST(BenchCompare, ChangedSimulatedWorkFailsInTheSameMode)
+{
+    const BenchFile base = roundTrip(sampleResults());
+    // Same throughput, one more cycle in one scenario.
+    std::vector<ScenarioResult> cycles = sampleResults();
+    cycles[0].simCycles += 1;
+    CompareReport rep = compareBench(base, roundTrip(cycles));
+    EXPECT_FALSE(rep.pass) << rep.text;
+    EXPECT_EQ(rep.workMismatches, 1u);
+    EXPECT_NE(rep.text.find("simulated work changed"), std::string::npos);
+
+    // Faster, but with different committed instructions.
+    std::vector<ScenarioResult> insts = sampleResults();
+    insts[2].instructions += 7;
+    insts[2].simCycles = sampleResults()[2].simCycles;
+    insts[2].wallSeconds *= 0.5;
+    rep = compareBench(base, roundTrip(insts));
+    EXPECT_FALSE(rep.pass) << rep.text;
+    EXPECT_EQ(rep.workMismatches, 1u);
+}
+
+TEST(BenchCompare, EqualSimulatedWorkPasses)
+{
+    const BenchFile base = roundTrip(sampleResults());
+    std::vector<ScenarioResult> fast = sampleResults();
+    for (ScenarioResult &r : fast)
+        r.wallSeconds *= 0.8;
+    const CompareReport rep = compareBench(base, roundTrip(fast));
+    EXPECT_TRUE(rep.pass) << rep.text;
+    EXPECT_EQ(rep.workMismatches, 0u);
+}
+
+TEST(BenchCompare, DifferentModesKeepSimulatedWorkInformational)
+{
+    // A full-mode baseline against a quick candidate does different
+    // work by design; so does a run with other run lengths.
+    const BenchFile full = roundTrip(sampleResults());
+    std::vector<ScenarioResult> shorter = sampleResults();
+    for (ScenarioResult &r : shorter) {
+        r.instructions /= 10;
+        r.simCycles /= 10;
+        r.wallSeconds /= 10;
+    }
+    const CompareReport rep =
+        compareBench(full, roundTrip(shorter, PerfOptions::quickPreset()));
+    EXPECT_TRUE(rep.pass) << rep.text;
+    EXPECT_EQ(rep.workMismatches, 0u);
+    EXPECT_NE(rep.text.find("simulated work not compared"),
+              std::string::npos);
+
+    PerfOptions longer;
+    longer.measureInstructions *= 2;
+    EXPECT_TRUE(compareBench(full, roundTrip(shorter, longer)).pass);
+}
+
+TEST(BenchCompare, WorkVersionBumpKeepsSimulatedWorkInformational)
+{
+    // A change that moves simulated work on purpose bumps
+    // kBenchWorkVersion; its comparison against an older file (or one
+    // that predates the field) reports the counts but does not fail.
+    const BenchFile base = roundTrip(sampleResults());
+    EXPECT_EQ(base.workVersion, kBenchWorkVersion);
+    std::vector<ScenarioResult> moved = sampleResults();
+    moved[0].simCycles += 100;
+    BenchFile older = base;
+    older.workVersion = 0;
+    const CompareReport rep = compareBench(older, roundTrip(moved));
+    EXPECT_TRUE(rep.pass) << rep.text;
+    EXPECT_EQ(rep.workMismatches, 0u);
+    EXPECT_NE(rep.text.find("simulated work not compared"),
+              std::string::npos);
 }
 
 TEST(BenchCompare, RejectsMalformedOrForeignJson)

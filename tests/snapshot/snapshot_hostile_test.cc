@@ -3,6 +3,8 @@
  * Hostile-snapshot suite: every malformed, truncated or mismatched
  * image must be rejected with SnapshotError before any component state
  * mutates — no UB, no partial restores, no trust in on-disk bytes.
+ * Component-level cases forge single fields (a cache line's stamp or
+ * flag byte, a BTB entry) that the framing cannot catch.
  * CI runs this under ASan/UBSan, so an out-of-bounds read provoked by
  * a crafted length field fails the build even if the clean-rejection
  * assertion would have passed.
@@ -10,10 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "cache/cache.hh"
+#include "cpu/branch_predictor.hh"
 #include "sim/json_stats.hh"
 #include "sim/system.hh"
 #include "snapshot/snapshot.hh"
@@ -227,6 +232,171 @@ TEST(SnapshotHostile, ImplausibleOccupancyRejected)
     auto clean = makeTarget();
     std::vector<std::uint8_t> ok = makeImage();
     EXPECT_NO_THROW(clean->restoreSnapshot(std::move(ok), kCtx));
+}
+
+/** Restore one component from `payload` (its saveState bytes) inside
+ *  a framed, CRC-valid image, so only the component's own checks can
+ *  reject it. */
+template <typename Component>
+void
+restorePayload(Component &c, const std::vector<std::uint8_t> &payload)
+{
+    Serializer s;
+    s.beginSection(1);
+    s.raw(payload.data(), payload.size());
+    s.endSection();
+    Deserializer d(frameSnapshot(s, 1, 2), 1, 2);
+    d.beginSection(1);
+    c.restoreState(d);
+    d.endSection();
+}
+
+template <typename Component>
+std::vector<std::uint8_t>
+payloadOf(const Component &c)
+{
+    Serializer s;
+    c.saveState(s);
+    return s.bytes();
+}
+
+void
+patchLe(std::vector<std::uint8_t> &bytes, std::size_t off,
+        std::uint64_t value, std::size_t n)
+{
+    ASSERT_LE(off + n, bytes.size());
+    for (std::size_t i = 0; i < n; ++i)
+        bytes[off + i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+CacheParams
+twoWayCache()
+{
+    CacheParams p;
+    p.name = "hostile";
+    p.sizeBytes = 1024;
+    p.assoc = 2;
+    p.mshrs = 2;
+    return p;
+}
+
+/** Payload of a 2-way cache with one touched set: u32 count, u32 set,
+ *  then two 22-byte lines (u64 tag, u64 stamp, six u8 fields), then the
+ *  u64 LRU clock. */
+constexpr std::size_t kLine0 = 8;
+constexpr std::size_t kLineStamp = kLine0 + 8;
+constexpr std::size_t kLineSmallFields = kLine0 + 16;
+constexpr std::size_t kCacheClock = kLine0 + 2 * 22;
+
+std::vector<std::uint8_t>
+oneSetCachePayload()
+{
+    StatGroup g("g");
+    Cache c(twoWayCache(), &g);
+    c.fill(0x0040, CoherState::Shared);
+    return payloadOf(c);
+}
+
+void
+expectCacheRejects(const std::vector<std::uint8_t> &payload,
+                   const std::string &what)
+{
+    StatGroup g("g");
+    Cache c(twoWayCache(), &g);
+    EXPECT_THROW(restorePayload(c, payload), SnapshotError) << what;
+}
+
+TEST(SnapshotHostile, ForgedLineStampRejected)
+{
+    std::vector<std::uint8_t> p = oneSetCachePayload();
+    patchLe(p, kLineStamp, CacheLine::kStampLimit, 8);
+    expectCacheRejects(p, "line stamp of 2^48");
+    patchLe(p, kLineStamp, ~std::uint64_t{0}, 8);
+    expectCacheRejects(p, "line stamp of 2^64 - 1");
+
+    patchLe(p, kLineStamp, CacheLine::kStampLimit - 1, 8);
+    StatGroup g("g");
+    Cache c(twoWayCache(), &g);
+    restorePayload(c, p);
+    EXPECT_EQ(c.peek(0x0040)->replStamp, CacheLine::kStampLimit - 1);
+
+    std::vector<std::uint8_t> clock = oneSetCachePayload();
+    patchLe(clock, kCacheClock, CacheLine::kStampLimit, 8);
+    expectCacheRejects(clock, "LRU clock of 2^48");
+}
+
+TEST(SnapshotHostile, EveryLineFieldByteIsValidOrRejected)
+{
+    // Each of a line's six one-byte fields (state, committed,
+    // sePending, dirty, fillLevel, prefetched) takes all 256 values:
+    // a value restores only if the line holds it exactly (the re-saved
+    // byte is the same), and everything else is a SnapshotError, never
+    // a truncated bit-field or an invalid bool.
+    const std::vector<std::uint8_t> clean = oneSetCachePayload();
+    const unsigned expect_accepted[6] = {4, 2, 2, 2, 4, 2};
+    for (unsigned field = 0; field < 6; ++field) {
+        const std::size_t off = kLineSmallFields + field;
+        unsigned accepted = 0;
+        for (unsigned v = 0; v < 256; ++v) {
+            std::vector<std::uint8_t> p = clean;
+            p[off] = static_cast<std::uint8_t>(v);
+            StatGroup g("g");
+            Cache c(twoWayCache(), &g);
+            try {
+                restorePayload(c, p);
+            } catch (const SnapshotError &) {
+                continue;
+            }
+            ++accepted;
+            EXPECT_EQ(payloadOf(c), p) << "field " << field << " = " << v;
+        }
+        EXPECT_EQ(accepted, expect_accepted[field]) << "field " << field;
+    }
+}
+
+TEST(SnapshotHostile, BtbEntryWiderThan32BitsRejected)
+{
+    StatGroup g("g");
+    BranchPredictor bp(BranchPredictorParams{}, &g);
+    bp.trainTarget(0x5a5a5, 0x3c3c3);
+    const std::vector<std::uint8_t> clean = payloadOf(bp);
+    std::vector<std::uint8_t> entry;
+    for (std::uint64_t w : {std::uint64_t{0x5a5a5}, std::uint64_t{0x3c3c3}})
+        for (unsigned i = 0; i < 8; ++i)
+            entry.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
+    const auto at = std::search(clean.begin(), clean.end(), entry.begin(),
+                                entry.end());
+    ASSERT_NE(at, clean.end());
+    const std::size_t pc_off = static_cast<std::size_t>(at - clean.begin());
+
+    for (const std::size_t off : {pc_off, pc_off + 8}) {
+        for (const std::uint64_t bad :
+             {std::uint64_t{1} << 32, std::uint64_t{0xffff'ffff},
+              kAddrInvalid - 1}) {
+            std::vector<std::uint8_t> p = clean;
+            patchLe(p, off, bad, 8);
+            StatGroup tg("t");
+            BranchPredictor target(BranchPredictorParams{}, &tg);
+            EXPECT_THROW(restorePayload(target, p), SnapshotError)
+                << (off == pc_off ? "pc " : "target ") << bad;
+        }
+    }
+
+    // An entry with a pc but an empty target cannot be trained.
+    std::vector<std::uint8_t> half = clean;
+    patchLe(half, pc_off + 8, kAddrInvalid, 8);
+    StatGroup hg("h");
+    BranchPredictor half_bp(BranchPredictorParams{}, &hg);
+    EXPECT_THROW(restorePayload(half_bp, half), SnapshotError);
+
+    // kAddrInvalid is an empty field, not a forged one.
+    std::vector<std::uint8_t> p = clean;
+    patchLe(p, pc_off, kAddrInvalid, 8);
+    StatGroup tg("t");
+    BranchPredictor target(BranchPredictorParams{}, &tg);
+    restorePayload(target, p);
+    EXPECT_EQ(target.predictTarget(0x5a5a5), kAddrInvalid);
+    EXPECT_EQ(payloadOf(target), p);
 }
 
 } // namespace

@@ -25,8 +25,10 @@
  *   --compare FILE     after the run, compare the fresh results against
  *                      FILE (a previous BENCH.json); exit nonzero when
  *                      the geomean throughput over common scenarios
- *                      regresses past the threshold or any scenario
- *                      errors — the CI regression gate
+ *                      regresses past the threshold, any scenario
+ *                      errors, or (same mode, run lengths and work
+ *                      version) a common scenario's instructions or
+ *                      sim_cycles differ — the CI regression gate
  *   --compare-only A B compare BENCH.json B (candidate) against A
  *                      (baseline) without running anything
  *   --threshold PCT    tolerated geomean regression (default 5)
@@ -231,7 +233,7 @@ runTool(int argc, char **argv)
 
     if (!compare_path.empty()) {
         const int rc = runComparison(loadBenchFile(compare_path),
-                                     benchFileFromResults(results),
+                                     benchFileFromResults(results, opt),
                                      threshold_pct);
         if (rc != 0)
             return rc;
