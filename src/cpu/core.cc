@@ -73,6 +73,9 @@ Core::Core(CoreId id, const CoreParams &params, MemIface *mem,
       delayedLoads(&stats_, "delayed_loads",
                    "speculative L1-miss loads delayed until "
                    "non-speculative (delay-on-miss)"),
+      taintDelayed(&stats_, "taint_delayed",
+                   "loads and stores whose address waited for a "
+                   "register's taint to clear (STT)"),
       loadLatency(&stats_, "load_latency", "demand load latency"),
       ipc(&stats_, "ipc", "committed instructions per cycle",
           &coreIpc, this)
@@ -111,7 +114,7 @@ Core::setContext(const ArchContext &ctx)
     regDone_.fill(fetchCycle_);
     regTaint_.fill(0);
     lastIfetchLine_ = kAddrInvalid;
-    specDepth_ = 0;
+    wrongPath_ = false;
     lastBranchDone_ = 0;
     bindDecoded();
 }
@@ -251,10 +254,10 @@ Core::saveState(Serializer &s) const
     s.u64(lastBranchDone_);
     s.u64(committedEver_);
 
-    // Wrong-path checkpoint stack (live prefix only).
-    s.u64(specDepth_);
-    for (std::size_t i = 0; i < specDepth_; ++i) {
-        const Checkpoint &cp = specStack_[i];
+    // Wrong-path checkpoint, as a depth of 0 or 1.
+    s.u64(wrongPath_ ? 1 : 0);
+    if (wrongPath_) {
+        const Checkpoint &cp = spec_;
         for (std::uint64_t r : cp.regs)
             s.u64(r);
         for (Cycle c : cp.regDone)
@@ -322,13 +325,11 @@ Core::restoreState(Deserializer &d)
     committedEver_ = d.u64();
 
     const std::uint64_t depth = d.u64();
-    if (depth > 4096)
-        throw SnapshotError("implausible checkpoint-stack depth");
-    if (specStack_.size() < depth)
-        specStack_.resize(depth);
-    specDepth_ = static_cast<std::size_t>(depth);
-    for (std::size_t i = 0; i < specDepth_; ++i) {
-        Checkpoint &cp = specStack_[i];
+    if (depth > 1)
+        throw SnapshotError("checkpoint depth above 1");
+    wrongPath_ = depth == 1;
+    if (wrongPath_) {
+        Checkpoint &cp = spec_;
         for (std::uint64_t &r : cp.regs)
             r = d.u64();
         for (Cycle &c : cp.regDone)
@@ -697,9 +698,8 @@ Core::drain()
 void
 Core::enterWrongPath(std::uint64_t correct_pc, Cycle resolve_at)
 {
-    if (specDepth_ == specStack_.size())
-        specStack_.emplace_back();
-    Checkpoint &chk = specStack_[specDepth_++];
+    wrongPath_ = true;
+    Checkpoint &chk = spec_;
     chk.regs = ctx_.regs;
     chk.regDone = regDone_;
     if (taintTracked_)
@@ -719,10 +719,7 @@ Core::enterWrongPath(std::uint64_t correct_pc, Cycle resolve_at)
 void
 Core::squash()
 {
-    // Restore to the *oldest* checkpoint: the first mispredicted branch
-    // wins; anything younger (including nested checkpoints) is wrong
-    // path.
-    Checkpoint &chk = specStack_.front();
+    const Checkpoint &chk = spec_;
 
     // Discard wrong-path entries from the window tail, fixing up the
     // in-flight load/store occupancy as they go (the wrong path can be
@@ -762,7 +759,7 @@ Core::squash()
         tracer_->record(id_, TraceEventKind::Squash, fetchCycle_,
                         chk.correctPc);
     mem_->onSquash(id_, fetchCycle_);
-    specDepth_ = 0;
+    wrongPath_ = false;
 }
 
 // --------------------------------------------------------------------------
@@ -832,7 +829,7 @@ Core::retireEligible()
     // Never retire wrong-path entries — they are squashed, not
     // committed.
     const SeqNum barrier = inWrongPath()
-                               ? specStack_.front().firstWrongSeq
+                               ? spec_.firstWrongSeq
                                : nextSeq_;
     while (!winEmpty() && winFront().seq < barrier &&
            winFront().commitC <= fetchCycle_ &&
@@ -848,8 +845,8 @@ Core::stepOne()
         return false;
 
     // Wrong-path termination: once the front end's clock passes the
-    // resolve point of the oldest mispredicted branch, squash.
-    if (inWrongPath() && fetchCycle_ >= specStack_.front().resolveAt) {
+    // resolve point of the mispredicted branch, squash.
+    if (inWrongPath() && fetchCycle_ >= spec_.resolveAt) {
         squash();
         return true;
     }
@@ -937,7 +934,7 @@ Core::fetchOne()
         // Only wrong-path work is left to retire: it can never commit,
         // so the stall lasts until the branch resolves and squashes.
         if (inWrongPath() &&
-            winFront().seq >= specStack_.front().firstWrongSeq) {
+            winFront().seq >= spec_.firstWrongSeq) {
             squash();
             return;
         }
@@ -946,7 +943,7 @@ Core::fetchOne()
             fetchedThisCycle_ = 0;
             // The stall may have pushed us past a pending resolve point.
             if (inWrongPath() &&
-                fetchCycle_ >= specStack_.front().resolveAt) {
+                fetchCycle_ >= spec_.resolveAt) {
                 squash();
                 return;
             }
@@ -1008,8 +1005,12 @@ Core::fetchOne()
         // STT: transmitters (loads/stores) with tainted address operands
         // are delayed until the taint clears.
         if (taintTracked_) {
-            addr_ready = std::max({addr_ready, regTaintClear(op.base),
-                                   regTaintClear(op.index)});
+            const Cycle taint_clear = std::max(regTaintClear(op.base),
+                                               regTaintClear(op.index));
+            if (taint_clear > addr_ready) {
+                addr_ready = taint_clear;
+                ++taintDelayed;
+            }
         }
         const Cycle issue = fuAvailable(memUnits_, addr_ready);
 
@@ -1019,7 +1020,7 @@ Core::fetchOne()
         // wrong path would inject far more cache traffic than real
         // hardware can.
         const bool squashed_before_issue =
-            inWrongPath() && issue >= specStack_.front().resolveAt;
+            inWrongPath() && issue >= spec_.resolveAt;
 
         if (op.kind == OpKind::Store) {
             e.isStore = true;
@@ -1056,7 +1057,7 @@ Core::fetchOne()
             if (squashed_before_issue) {
                 // Issues too late to beat the squash: no cache access.
                 e.accessedMemory = false;
-                done_c = specStack_.front().resolveAt;
+                done_c = spec_.resolveAt;
                 writeReg(op.dst, value, done_c, 0);
                 break;
             }
@@ -1102,7 +1103,7 @@ Core::fetchOne()
                 ++delayedLoads;
                 if (inWrongPath()) {
                     // Stalls past the squash: never reaches the caches.
-                    done = specStack_.front().resolveAt;
+                    done = spec_.resolveAt;
                     accessed = false;
                 } else {
                     const Cycle start = std::max(issue, lastBranchDone_);
@@ -1118,7 +1119,7 @@ Core::fetchOne()
                     if (inWrongPath()) {
                         // Never becomes non-speculative; completes only
                         // notionally, squashed before commit.
-                        done = specStack_.front().resolveAt;
+                        done = spec_.resolveAt;
                         accessed = false;
                     } else {
                         // Retry once the access is definitely going to
@@ -1153,12 +1154,12 @@ Core::fetchOne()
             if (params_.defense == CoreDefense::SttSpectre)
                 taint = std::max({lastBranchDone_, done,
                                   inWrongPath()
-                                      ? specStack_.front().resolveAt
+                                      ? spec_.resolveAt
                                       : 0});
             else if (params_.defense == CoreDefense::SttFuture)
                 taint = std::max({lastCommitC_, done,
                                   inWrongPath()
-                                      ? specStack_.front().resolveAt
+                                      ? spec_.resolveAt
                                       : 0});
             writeReg(op.dst, value, done, taint);
         }

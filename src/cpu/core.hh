@@ -207,7 +207,7 @@ class Core
 
     /**
      * Checkpoint the full microarchitectural state: architectural
-     * context, window ring, store buffer, checkpoint stack, predictor,
+     * context, window ring, store buffer, wrong-path checkpoint, predictor,
      * functional-unit clocks. Nothing is drained first — in-flight
      * wrong-path state rides along, which is what makes a restored run
      * bit-identical to the uninterrupted one. The installed Program
@@ -279,8 +279,11 @@ class Core
      * storage (no heap indirection on the per-op scheduling path). An
      * op takes the first earliest-free unit, the lowest index among
      * the units with the smallest next-free cycle (firstMin), and
-     * holds it for one cycle (units are pipelined). The chosen index
-     * is visible in snapshots, so the tie rule is part of the format.
+     * holds it for one cycle (units are pipelined). Timing depends
+     * only on the multiset of next-free cycles: every earliest-free
+     * unit gives the same start cycle and leaves the same multiset
+     * behind. So the chosen index reaches only the snapshot bytes,
+     * where the lowest-index tie rule is part of the format.
      */
     struct FuPool
     {
@@ -309,8 +312,8 @@ class Core
     void popHead();
     void retireEligible();
     void commitActions(const WinEntry &e);
-    /** Discard the wrong path and restore the oldest checkpoint; the
-     *  fetch clock moves up to the branch's resolve point. Every
+    /** Discard the wrong path and restore the checkpoint; the fetch
+     *  clock moves up to the branch's resolve point. Every
      *  wrong-path stall (serializing op, full window, ret with an empty
      *  call stack, pc off the end) ends here. */
     void squash();
@@ -356,7 +359,7 @@ class Core
     void unbufferStoresAfter(SeqNum first_squashed);
     void releaseStore(Addr vaddr, SeqNum seq, std::uint64_t value);
 
-    bool inWrongPath() const { return specDepth_ > 0; }
+    bool inWrongPath() const { return wrongPath_; }
 
     // --- identity ---------------------------------------------------------
     CoreId id_;
@@ -467,11 +470,13 @@ class Core
     bool budgetStall_ = false;
 
     // --- wrong-path state ---------------------------------------------------
-    /** Checkpoint pool: the live stack is specStack_[0..specDepth_).
-     *  Slots beyond the depth keep their heap storage (call-stack and
-     *  RAS vectors) so re-entering speculation never allocates. */
-    std::vector<Checkpoint> specStack_;
-    std::size_t specDepth_ = 0;
+    /** The mispredicted branch's checkpoint, live while wrongPath_ is
+     *  set. A branch fetched on the wrong path follows its computed
+     *  outcome and never checkpoints, so one checkpoint is all the core
+     *  ever holds. Its call-stack and RAS vectors keep their heap
+     *  storage between uses. */
+    Checkpoint spec_;
+    bool wrongPath_ = false;
 
     // --- functional units ----------------------------------------------------
     FuPool intUnits_;
@@ -530,6 +535,7 @@ class Core
     Counter forwardedLoads;
     Counter exposures;
     Counter delayedLoads;
+    Counter taintDelayed;
     Average loadLatency;
     Formula ipc;
 };

@@ -219,8 +219,13 @@ snapshotWarmForkBody(const PerfOptions &opt)
         System sys(cfg);
         sys.loadWorkload(w);
         sys.restoreSnapshot(image, kCtx);
+        // The restore carries in the warm machine's commits and clocks,
+        // already counted above: credit the fork its slice only.
+        const SimWork restored = workOf(sys);
         sys.run(slice);
-        work += workOf(sys);
+        const SimWork after = workOf(sys);
+        work += {after.instructions - restored.instructions,
+                 after.cycles - restored.cycles};
         if (n == 0)
             makespan = sys.maxCommitCycle();
         else if (sys.maxCommitCycle() != makespan)

@@ -65,8 +65,10 @@ namespace mtrap::perf
  * work version. A change that moves them on purpose (a model change, a
  * re-baselined scenario) bumps this, which makes its first comparison
  * against an older file informational instead of failing.
+ * v2: snapshot-warm-fork credits each fork only the work it runs after
+ * its restore, not the warm commits and cycles the restore carried in.
  */
-constexpr unsigned kBenchWorkVersion = 1;
+constexpr unsigned kBenchWorkVersion = 2;
 
 /** Scaling and repetition knobs for a suite run. */
 struct PerfOptions

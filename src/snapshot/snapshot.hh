@@ -58,8 +58,10 @@ class SnapshotError : public std::runtime_error
  *  v3: the memory-system section lost the prefetch commit channel's
  *  (always empty) queue, and the stats section its stat sheet.
  *  v4: the cache section records each line's fields instead of the raw
- *  CacheLine bytes (which became a packed 16-byte layout). */
-constexpr std::uint32_t kSnapshotFormatVersion = 4;
+ *  CacheLine bytes (which became a packed 16-byte layout).
+ *  v5: the core's stat sheet gained the taint_delayed counter ahead of
+ *  its load-latency words, which move up one slot. */
+constexpr std::uint32_t kSnapshotFormatVersion = 5;
 
 /** Section tags, one per top-level component (fixed save order). */
 enum SnapshotTag : std::uint32_t {

@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the out-of-order core: functional correctness of the
  * micro-ISA, wrong-path execution and squash recovery, store buffering,
- * serializing ops and structural limits. Uses a scriptable fake memory
- * interface so behaviour is observable without the full hierarchy.
+ * serializing ops, structural limits and STT's taint rules. Uses a
+ * scriptable fake memory interface so behaviour is observable without
+ * the full hierarchy.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "cpu/core.hh"
+#include "snapshot/snapshot.hh"
 
 namespace mtrap
 {
@@ -45,6 +47,10 @@ class FakeMem : public MemIface
     unsigned nacksIssued = 0;
     /** Answer for dataHitsPrivate (drives delay-on-miss). */
     bool privateHits = true;
+    /** Per-address latencies that override fixedLatency. */
+    std::map<Addr, Cycle> latencyAt;
+    /** Commit cycle of the last committed access to each address. */
+    std::map<Addr, Cycle> commitAt;
 
     DataAccessResult
     dataAccess(CoreId, Asid, Addr vaddr, Addr, bool is_store,
@@ -52,7 +58,8 @@ class FakeMem : public MemIface
     {
         accesses.push_back({vaddr, is_store, speculative, when});
         DataAccessResult r;
-        r.latency = fixedLatency;
+        const auto lat = latencyAt.find(vaddr);
+        r.latency = lat != latencyAt.end() ? lat->second : fixedLatency;
         if (nackFirstAccessTo && vaddr == nackTarget && speculative) {
             r.nacked = true;
             ++nacksIssued;
@@ -71,9 +78,11 @@ class FakeMem : public MemIface
     }
 
     void
-    commitData(CoreId, Asid, Addr vaddr, Addr, bool, bool, Cycle) override
+    commitData(CoreId, Asid, Addr vaddr, Addr, bool, bool,
+               Cycle when) override
     {
         commits.push_back(vaddr);
+        commitAt[vaddr] = when;
     }
 
     void commitIfetch(CoreId, Asid, Addr, Cycle) override {}
@@ -511,6 +520,351 @@ TEST(CoreSerial, ContextSwitchNotifiesAndCharges)
         << "context switches must charge kernel overhead";
     rig.core->run(1'000'000);
     EXPECT_TRUE(rig.core->halted());
+}
+
+// --- STT taint rules ---------------------------------------------------------
+//
+// Each test runs a small program on FakeMem and reads one of the core's
+// taint rules off the cycle at which a transmitter (a load or store whose
+// address comes from a loaded value) reaches memory, and off the
+// taint_delayed counter. A load from kSlow takes kSlowLat cycles; a
+// branch on its value resolves one cycle after it returns. Every other
+// access takes FakeMem's default 10 cycles.
+
+constexpr Addr kSlow = 0x1000;
+/** Producer address: the load from it is what taints a register. */
+constexpr Addr kSecret = 0x2000;
+/** The value stored at kSecret, so a transmitter's target. */
+constexpr Addr kProbe = 0x3000;
+constexpr Cycle kSlowLat = 300;
+constexpr Cycle kNever = ~Cycle{0};
+
+/** Cycle of the first access to `vaddr`; kNever if none reached
+ *  memory. */
+Cycle
+accessAt(const FakeMem &m, Addr vaddr)
+{
+    for (const FakeMem::Rec &a : m.accesses)
+        if (a.vaddr == vaddr)
+            return a.when;
+    return kNever;
+}
+
+/** Register `r`'s taint-clear cycle, read from the core's snapshot
+ *  bytes: the architectural context (u32 asid, u64 pc, the registers,
+ *  the length-prefixed call stack, u8 halted) and the ready cycles come
+ *  before the taint cycles. */
+Cycle
+taintOf(const Core &core, unsigned r)
+{
+    Serializer s;
+    core.saveState(s);
+    const std::vector<std::uint8_t> &b = s.bytes();
+    auto rd64 = [&](std::size_t at) {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < 8; ++i)
+            v |= std::uint64_t{b.at(at + i)} << (8 * i);
+        return v;
+    };
+    std::size_t pos = 4 + 8 + 8 * std::size_t{kNumRegs};
+    pos += 8 + 8 * rd64(pos) + 1;
+    pos += 8 * std::size_t{kNumRegs};
+    return rd64(pos + 8 * r);
+}
+
+struct SttRig : CoreRig
+{
+    explicit SttRig(CoreDefense d) : CoreRig(d)
+    {
+        mem.latencyAt[kSlow] = kSlowLat;
+        mem.write(1, kSecret, kProbe);
+    }
+
+    /** The cycle the never-taken branch on the slow load resolves. */
+    Cycle
+    branchResolved() const
+    {
+        return accessAt(mem, kSlow) + kSlowLat + 1;
+    }
+};
+
+/** Slow load, a correctly predicted (never-taken) branch on it, then
+ *  r4 = load kSecret: r4 holds kProbe, loaded under the branch. */
+ProgramBuilder
+slowBranchThenLoad()
+{
+    ProgramBuilder b("stt");
+    b.movi(7, kSlow);
+    b.movi(8, kSecret);
+    b.load(3, 7);
+    b.braNe("end", 3, 3);
+    b.load(4, 8);
+    return b;
+}
+
+TEST(CoreStt, LoadTaintClearsWhenOlderBranchesResolve)
+{
+    // STT-Spectre: a load's value stays tainted until every older
+    // branch has resolved, so the transmitter that uses it as an
+    // address waits for the slow branch, not for the value. Without
+    // STT it issues as soon as the value returns.
+    for (const CoreDefense d : {CoreDefense::None, CoreDefense::SttSpectre}) {
+        SttRig rig(d);
+        ProgramBuilder b = slowBranchThenLoad();
+        b.load(5, 4);
+        b.label("end");
+        b.halt();
+        rig.runProgram(b.take());
+        const bool stt = d == CoreDefense::SttSpectre;
+        const Cycle produced = accessAt(rig.mem, kSecret) + 10;
+        ASSERT_LT(produced, rig.branchResolved());
+        EXPECT_EQ(accessAt(rig.mem, kProbe),
+                  stt ? rig.branchResolved() : produced);
+        EXPECT_EQ(rig.core->taintDelayed.value(), stt ? 1u : 0u);
+        EXPECT_EQ(taintOf(*rig.core, 4), stt ? rig.branchResolved() : 0u);
+    }
+}
+
+TEST(CoreStt, FutureLoadTaintClearsWhenOlderWorkCommits)
+{
+    // STT-Future: a load's value stays tainted until everything older
+    // has committed, branch or not; STT-Spectre, with no branch in
+    // flight, does not delay the transmitter at all.
+    for (const CoreDefense d :
+         {CoreDefense::SttSpectre, CoreDefense::SttFuture}) {
+        SttRig rig(d);
+        ProgramBuilder b("stt");
+        b.movi(7, kSlow);
+        b.movi(8, kSecret);
+        b.load(3, 7);
+        b.load(4, 8);
+        b.load(5, 4);
+        b.halt();
+        rig.runProgram(b.take());
+        const bool future = d == CoreDefense::SttFuture;
+        const Cycle produced = accessAt(rig.mem, kSecret) + 10;
+        const Cycle slow_commit = rig.mem.commitAt.at(kSlow);
+        ASSERT_LT(produced, slow_commit);
+        EXPECT_EQ(accessAt(rig.mem, kProbe),
+                  future ? slow_commit : produced);
+        EXPECT_EQ(rig.core->taintDelayed.value(), future ? 1u : 0u);
+    }
+}
+
+TEST(CoreStt, AluResultTakesMaxOfSourceTaints)
+{
+    // An ALU result is as tainted as its most tainted source, in
+    // either operand position.
+    for (const bool tainted_first : {true, false}) {
+        SttRig rig(CoreDefense::SttSpectre);
+        ProgramBuilder b = slowBranchThenLoad();
+        b.movi(6, 0);
+        if (tainted_first)
+            b.add(9, 4, 6);
+        else
+            b.add(9, 6, 4);
+        b.load(5, 9);
+        b.label("end");
+        b.halt();
+        rig.runProgram(b.take());
+        EXPECT_EQ(accessAt(rig.mem, kProbe), rig.branchResolved())
+            << "tainted_first=" << tainted_first;
+        EXPECT_EQ(rig.core->taintDelayed.value(), 1u);
+        EXPECT_EQ(taintOf(*rig.core, 9), rig.branchResolved());
+    }
+}
+
+TEST(CoreStt, TransmitterAddressWaitsForBaseAndIndexTaint)
+{
+    // A load's or store's address waits for the taint of its base and
+    // of its index register. All three transmitters become ready at
+    // the branch's resolve cycle and share the two memory ports.
+    constexpr Addr kIndexed = 0x40000;
+    SttRig rig(CoreDefense::SttSpectre);
+    ProgramBuilder b = slowBranchThenLoad();
+    b.movi(9, kIndexed);
+    b.load(5, 4);          // tainted base
+    b.load(6, 9, 0, 4, 0); // tainted index: kIndexed + kProbe
+    b.store(9, 4, 8);      // tainted base: kProbe + 8
+    b.label("end");
+    b.halt();
+    rig.runProgram(b.take());
+    const Cycle resolved = rig.branchResolved();
+    EXPECT_EQ(accessAt(rig.mem, kProbe), resolved);
+    EXPECT_EQ(accessAt(rig.mem, kIndexed + kProbe), resolved);
+    EXPECT_EQ(accessAt(rig.mem, kProbe + 8), resolved + 1);
+    EXPECT_EQ(rig.core->taintDelayed.value(), 3u);
+}
+
+/** Runs slowBranchThenLoad, a rewrite of the tainted r4 from untainted
+ *  sources, then a transmitter through r4, and checks that r4 ends
+ *  untainted and the transmitter goes out before the branch resolves. */
+void
+expectUntaintedRewriteOfR4(bool by_alu)
+{
+    SttRig rig(CoreDefense::SttSpectre);
+    ProgramBuilder b = slowBranchThenLoad();
+    if (by_alu) {
+        b.movi(6, kProbe / 2);
+        b.add(4, 6, 6);
+    } else {
+        b.movi(4, kProbe);
+    }
+    b.load(5, 4);
+    b.label("end");
+    b.halt();
+    rig.runProgram(b.take());
+    EXPECT_LT(accessAt(rig.mem, kProbe), rig.branchResolved());
+    EXPECT_EQ(rig.core->taintDelayed.value(), 0u);
+    EXPECT_EQ(taintOf(*rig.core, 4), 0u);
+}
+
+// The core's per-register taint is the STT taint tracker; these two
+// keep the tracker's rules for untainted writes under their own suite.
+TEST(TaintTracker, UntaintedSourcesGiveUntaintedDest)
+{
+    // An ALU op over untainted registers writes an untainted result,
+    // even into a register a load had tainted.
+    expectUntaintedRewriteOfR4(true);
+}
+
+TEST(TaintTracker, OverwriteClearsOldTaint)
+{
+    // An immediate written over a tainted register clears its taint.
+    expectUntaintedRewriteOfR4(false);
+}
+
+TEST(CoreStt, StoreForwardedLoadTakesOnlyItsBaseTaint)
+{
+    // A load served from the store buffer takes its base register's
+    // taint, not a load's: with an untainted base its value is
+    // untainted, and the dependent transmitter issues under the
+    // unresolved branch. This is how security cell 10:spec-store leaks
+    // under STT. The same load served by memory is held (first test).
+    SttRig rig(CoreDefense::SttSpectre);
+    ProgramBuilder b("stt");
+    b.movi(7, kSlow);
+    b.movi(8, kSecret);
+    b.movi(9, kProbe);
+    b.load(3, 7);
+    b.braNe("end", 3, 3);
+    b.store(9, 8);   // in flight behind the branch
+    b.load(4, 8);    // forwarded: r4 = kProbe
+    b.load(5, 4);
+    b.label("end");
+    b.halt();
+    rig.runProgram(b.take());
+    EXPECT_EQ(rig.core->forwardedLoads.value(), 1u);
+    EXPECT_LT(accessAt(rig.mem, kProbe), rig.branchResolved());
+    EXPECT_EQ(rig.core->taintDelayed.value(), 0u);
+}
+
+/** Slow load, then a branch on it that is always taken but predicted
+ *  not taken (fresh counters), so the fall-through that follows is
+ *  the wrong path. The branch resolves kSlowLat + 1 + the redirect
+ *  penalty after the slow load issues. */
+ProgramBuilder
+mispredictedSlowBranch()
+{
+    ProgramBuilder b("stt");
+    b.movi(2, 3);
+    b.movi(7, kSlow);
+    b.movi(8, kSecret);
+    b.load(3, 7);
+    b.braEq("end", 3, 3);
+    return b;
+}
+
+TEST(CoreStt, WrongPathLoadTaintLastsUntilTheSquash)
+{
+    // On the wrong path a load's taint lasts at least until the
+    // mispredicted branch resolves, so its dependent transmitter is
+    // squashed before it issues: the Spectre gadget leaks without STT
+    // and not under either STT variant.
+    for (const CoreDefense d : {CoreDefense::None, CoreDefense::SttSpectre,
+                                CoreDefense::SttFuture}) {
+        SttRig rig(d);
+        ProgramBuilder b = mispredictedSlowBranch();
+        b.load(4, 8);
+        b.load(5, 4);
+        b.label("end");
+        b.halt();
+        rig.runProgram(b.take());
+        const bool stt = d != CoreDefense::None;
+        ASSERT_EQ(rig.core->squashes.value(), 1u);
+        ASSERT_EQ(rig.core->wrongPathLoads.value(), stt ? 1u : 2u);
+        EXPECT_NE(accessAt(rig.mem, kSecret), kNever);
+        EXPECT_EQ(accessAt(rig.mem, kProbe) != kNever, !stt)
+            << coreDefenseName(d);
+        EXPECT_EQ(rig.core->taintDelayed.value(), stt ? 1u : 0u);
+    }
+}
+
+TEST(CoreStt, WrongPathLoadSquashedBeforeIssueWritesNoTaint)
+{
+    // A wrong-path load whose address is ready only after the branch
+    // resolves never issues, and writes no taint: the transmitter
+    // behind it waits for the load's (resolve-cycle) value, not for a
+    // taint. Under STT-Future a load-style taint would be the commit
+    // cycle of the divide before it, later than the resolve cycle.
+    SttRig rig(CoreDefense::SttFuture);
+    ProgramBuilder b = mispredictedSlowBranch();
+    b.div(9, 3, 2);   // ready 12 cycles after the slow load returns
+    b.load(4, 9);     // address ready after the branch resolves
+    b.load(5, 4);
+    b.label("end");
+    b.halt();
+    rig.runProgram(b.take());
+    ASSERT_EQ(rig.core->squashes.value(), 1u);
+    EXPECT_EQ(rig.core->wrongPathLoads.value(), 0u);
+    EXPECT_EQ(rig.mem.accesses.size(), 1u) << "only the slow load issues";
+    EXPECT_EQ(rig.core->taintDelayed.value(), 0u);
+}
+
+TEST(CoreStt, SquashRestoresTaint)
+{
+    // r4 is untainted before a mispredicted branch; a slow wrong-path
+    // load overwrites it with a taint far past the squash. The squash
+    // restores r4's value, ready cycle and taint together, so the
+    // correct-path transmitter through r4 is not held.
+    constexpr Addr kWrongSlow = 0x5000;
+    constexpr Cycle kWrongLat = 1000;
+    SttRig rig(CoreDefense::SttSpectre);
+    rig.mem.latencyAt[kWrongSlow] = kWrongLat;
+    ProgramBuilder b("stt");
+    b.movi(4, kProbe);
+    b.movi(6, kWrongSlow);
+    b.movi(7, kSlow);
+    b.load(3, 7);
+    b.braEq("end", 3, 3);
+    b.load(4, 6);   // wrong path: r4 tainted until kWrongLat later
+    b.label("end");
+    b.load(5, 4);
+    b.halt();
+    rig.runProgram(b.take());
+    ASSERT_EQ(rig.core->squashes.value(), 1u);
+    const Cycle wrong_done = accessAt(rig.mem, kWrongSlow) + kWrongLat;
+    ASSERT_GT(wrong_done, rig.branchResolved() + 100);
+    EXPECT_LT(accessAt(rig.mem, kProbe), rig.branchResolved() + 100);
+    EXPECT_EQ(rig.core->taintDelayed.value(), 0u);
+    EXPECT_EQ(taintOf(*rig.core, 4), 0u);
+}
+
+TEST(CoreStt, SetContextClearsTaint)
+{
+    // Installing a context leaves no register tainted.
+    SttRig rig(CoreDefense::SttSpectre);
+    ProgramBuilder b = slowBranchThenLoad();
+    b.label("end");
+    b.halt();
+    rig.runProgram(b.take());
+    ASSERT_EQ(taintOf(*rig.core, 4), rig.branchResolved());
+    ArchContext ctx;
+    ctx.program = &rig.prog_;
+    ctx.asid = 1;
+    rig.core->setContext(ctx);
+    for (unsigned r = 0; r < kNumRegs; ++r)
+        EXPECT_EQ(taintOf(*rig.core, r), 0u) << "r" << r;
 }
 
 // --- delay-on-miss ---------------------------------------------------------------

@@ -1,15 +1,15 @@
 /**
  * @file
- * Unit tests for the comparator defence models: the STT taint tracker
- * semantics, the InvisiSpec speculative buffer, scheme descriptors, and
- * end-to-end timing effects of STT/InvisiSpec on the core.
+ * Unit tests for the comparator defence models: the InvisiSpec
+ * speculative buffer, scheme descriptors, and end-to-end timing effects
+ * of STT/InvisiSpec on the core. STT's taint rules are pinned on the
+ * core itself, in tests/cpu/core_test.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include "defense/invisispec.hh"
 #include "defense/scheme.hh"
-#include "defense/stt.hh"
 #include "sim/runner.hh"
 #include "workload/spec_profiles.hh"
 
@@ -17,68 +17,6 @@ namespace mtrap
 {
 namespace
 {
-
-// --- TaintTracker -------------------------------------------------------------
-
-TEST(TaintTracker, LoadTaintsDestination)
-{
-    TaintTracker t(SttVariant::Spectre);
-    t.loadProduced(3, 100);
-    EXPECT_TRUE(t.isTainted(3, 50));
-    EXPECT_FALSE(t.isTainted(3, 100));
-    EXPECT_EQ(t.taintClears(3), 100u);
-}
-
-TEST(TaintTracker, AluPropagatesMaxOfSources)
-{
-    TaintTracker t(SttVariant::Spectre);
-    t.loadProduced(3, 100);
-    t.loadProduced(4, 200);
-    t.aluProduced(5, 3, 4);
-    EXPECT_EQ(t.taintClears(5), 200u);
-}
-
-TEST(TaintTracker, UntaintedSourcesGiveUntaintedDest)
-{
-    TaintTracker t(SttVariant::Future);
-    t.aluProduced(5, 1, 2);
-    EXPECT_FALSE(t.isTainted(5, 0));
-}
-
-TEST(TaintTracker, OverwriteClearsOldTaint)
-{
-    TaintTracker t(SttVariant::Spectre);
-    t.loadProduced(3, 1000);
-    t.aluProduced(3, 1, 2); // untainted sources overwrite r3
-    EXPECT_FALSE(t.isTainted(3, 0));
-}
-
-TEST(TaintTracker, TransmitterReadyIsMaxOfOperands)
-{
-    TaintTracker t(SttVariant::Spectre);
-    t.loadProduced(3, 150);
-    EXPECT_EQ(t.transmitterReady(3, kNoReg), 150u);
-    EXPECT_EQ(t.transmitterReady(kNoReg, 3), 150u);
-    EXPECT_EQ(t.transmitterReady(1, 2), 0u);
-}
-
-TEST(TaintTracker, SnapshotRestore)
-{
-    TaintTracker t(SttVariant::Spectre);
-    t.loadProduced(3, 100);
-    const auto snap = t.snapshot();
-    t.loadProduced(3, 999);
-    t.restore(snap);
-    EXPECT_EQ(t.taintClears(3), 100u);
-}
-
-TEST(TaintTracker, ClearAllUntaints)
-{
-    TaintTracker t(SttVariant::Future);
-    t.loadProduced(3, 100);
-    t.clearAll();
-    EXPECT_FALSE(t.isTainted(3, 0));
-}
 
 // --- SpecBuffer ------------------------------------------------------------------
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 #include <string>
@@ -242,6 +243,28 @@ TEST(PerfSuite, ReportsTheWorkTheBodyReturns)
         runScenarios({idle}, tinyOptions(), nullptr);
     ASSERT_EQ(none.size(), 1u);
     EXPECT_FALSE(none[0].ok);
+}
+
+TEST(PerfSuite, WarmForkCreditsOnlyPostRestoreWork)
+{
+    // The forks restore the warm machine's commits and clocks; only
+    // the work each fork runs after its restore is credited, on top of
+    // the warm run itself. Counting the restored work again made
+    // `mtrap_perf --quick` report 80,047 instructions where about 40k
+    // run.
+    const std::vector<PerfScenario> suite = defaultScenarios();
+    const auto it = std::find_if(suite.begin(), suite.end(),
+                                 [](const PerfScenario &s) {
+                                     return s.name ==
+                                            "snapshot-warm-fork-muontrap";
+                                 });
+    ASSERT_NE(it, suite.end());
+    const std::vector<ScenarioResult> results =
+        runScenarios({*it}, tinyOptions(), nullptr);
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_EQ(results[0].instructions, 4'046u);
+    EXPECT_EQ(results[0].simCycles, 38'135u);
 }
 
 } // namespace

@@ -84,6 +84,15 @@ patchAndReseal(std::vector<std::uint8_t> &img, std::size_t off,
         img[crc_off + i] = static_cast<std::uint8_t>(crc >> (8 * i));
 }
 
+/** Little-endian `n`-byte field of `img` at `off`. */
+std::uint64_t
+readLe(const std::vector<std::uint8_t> &img, std::size_t off, std::size_t n)
+{
+    std::uint64_t v = 0;
+    std::memcpy(&v, img.data() + off, n);
+    return v;
+}
+
 void
 expectRejected(const std::vector<std::uint8_t> &img,
                const std::string &what)
@@ -204,20 +213,10 @@ TEST(SnapshotHostile, ImplausibleOccupancyRejected)
     // must throw via checkCount, never attempt the resize.
     std::vector<std::uint8_t> img = makeImage();
 
-    auto rd32 = [&](std::size_t at) {
-        std::uint32_t v = 0;
-        std::memcpy(&v, img.data() + at, 4);
-        return v;
-    };
-    auto rd64 = [&](std::size_t at) {
-        std::uint64_t v = 0;
-        std::memcpy(&v, img.data() + at, 8);
-        return v;
-    };
     std::size_t pos = kHeaderBytes;
-    ASSERT_EQ(rd32(pos), kTagMemSystem);
-    pos += 12 + rd64(pos + 4); // skip to the first core section
-    ASSERT_EQ(rd32(pos), kTagCore);
+    ASSERT_EQ(readLe(img, pos, 4), kTagMemSystem);
+    pos += 12 + readLe(img, pos + 4, 8); // skip to the first core section
+    ASSERT_EQ(readLe(img, pos, 4), kTagCore);
 
     // Core payload layout opens with the arch context: u32 asid,
     // u64 pc, kNumRegs u64 registers, then the call-stack's u64
@@ -232,6 +231,61 @@ TEST(SnapshotHostile, ImplausibleOccupancyRejected)
     auto clean = makeTarget();
     std::vector<std::uint8_t> ok = makeImage();
     EXPECT_NO_THROW(clean->restoreSnapshot(std::move(ok), kCtx));
+}
+
+/** Offset of the wrong-path checkpoint depth in the first core
+ *  section of `img`. The core payload is walked field by field up to
+ *  it: arch context (u32 asid, u64 pc, kNumRegs registers, the
+ *  length-prefixed call stack, u8 halted), the ready and taint arrays,
+ *  the fetch clocks, the length-prefixed 64-byte window entries, the
+ *  in-flight counts and the commit clocks. */
+std::size_t
+coreCheckpointDepthOffset(const std::vector<std::uint8_t> &img)
+{
+    auto rd64 = [&](std::size_t at) { return readLe(img, at, 8); };
+    constexpr std::size_t kRegBytes = std::size_t{kNumRegs} * 8;
+    std::size_t pos = kHeaderBytes;
+    EXPECT_EQ(readLe(img, pos, 4), kTagMemSystem);
+    pos += 12 + rd64(pos + 4);
+    EXPECT_EQ(readLe(img, pos, 4), kTagCore);
+    pos += 12;
+    pos += 4 + 8 + kRegBytes;          // asid, pc, registers
+    pos += 8 + 8 * rd64(pos);          // call stack
+    pos += 1;                          // halted
+    pos += 2 * kRegBytes;              // ready and taint cycles
+    pos += 8 + 8 + 4 + 8;              // seq, fetch clock, slot, line
+    pos += 8 + 64 * rd64(pos);         // window entries
+    pos += 4 + 4 + 8 + 8 + 4 + 8 + 8;  // occupancy and commit clocks
+    return pos;
+}
+
+TEST(SnapshotHostile, CheckpointDepthAboveOneRejected)
+{
+    // The core holds at most one wrong-path checkpoint, so a depth of
+    // 2 (or a stack-sized 4096) is a forged image, rejected before any
+    // checkpoint is read.
+    System sys(testConfig());
+    sys.loadWorkload(testWorkload());
+    sys.run(1'500);
+    const std::vector<std::uint8_t> clean = sys.saveSnapshot(kCtx);
+    const std::size_t off = coreCheckpointDepthOffset(clean);
+    ASSERT_EQ(readLe(clean, off - 8, 8), sys.core(0).committedEver())
+        << "offset walk is off";
+    ASSERT_LE(readLe(clean, off, 8), 1u);
+    for (const std::uint64_t forged : {std::uint64_t{2},
+                                       std::uint64_t{4096}}) {
+        std::vector<std::uint8_t> img = clean;
+        patchAndReseal(img, off, forged, 8);
+        auto target = makeTarget();
+        try {
+            target->restoreSnapshot(std::move(img), kCtx);
+            ADD_FAILURE() << "depth " << forged << " restored";
+        } catch (const SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find("checkpoint depth"),
+                      std::string::npos)
+                << "depth " << forged << ": " << e.what();
+        }
+    }
 }
 
 /** Restore one component from `payload` (its saveState bytes) inside
